@@ -3,7 +3,9 @@
 //! Each hardware context owns a window (`VecDeque<InFlight>`) ordered by
 //! per-thread sequence number — the reorder buffer. Sequence numbers are
 //! monotone and never reused, so after a squash the window may contain a
-//! gap; lookups go through binary search on `seq`.
+//! gap. [`find_seq`] looks an op up with two O(1) probes, relative to the
+//! front and to the back of the window, and binary-searches only for an
+//! op between two gaps.
 //!
 //! The [`Stage::Executing`] `done_at` deadlines recorded here are one of
 //! the event sources the machine's event-horizon fast-forward
@@ -149,8 +151,35 @@ impl Codec for InFlight {
     }
 }
 
-/// Binary-search a window (sorted by `seq`) for a sequence number.
+/// Index of sequence number `seq` in a window sorted by `seq`.
+///
+/// Commit pops the front and a squash truncates the back, so a window is
+/// a few runs of consecutive sequence numbers separated by squash gaps.
+/// The front-relative probe hits every op of the oldest run and the
+/// back-relative probe every op of the youngest, so a window with at most
+/// one gap never reaches the binary-search fallback.
+#[inline]
 pub fn find_seq(window: &std::collections::VecDeque<InFlight>, seq: u64) -> Option<usize> {
+    let (front, back) = (window.front()?.seq, window.back()?.seq);
+    if seq < front || seq > back {
+        return None;
+    }
+    let n = window.len();
+    let i = (seq - front) as usize;
+    if i < n && window[i].seq == seq {
+        return Some(i);
+    }
+    let j = (back - seq) as usize;
+    if j < n && window[n - 1 - j].seq == seq {
+        return Some(n - 1 - j);
+    }
+    find_seq_search(window, seq)
+}
+
+/// The binary-search fallback of [`find_seq`], reached only for ops
+/// between two squash gaps.
+#[cold]
+fn find_seq_search(window: &std::collections::VecDeque<InFlight>, seq: u64) -> Option<usize> {
     let (a, b) = window.as_slices();
     if let Ok(i) = a.binary_search_by_key(&seq, |op| op.seq) {
         return Some(i);
@@ -182,32 +211,40 @@ mod tests {
         }
     }
 
-    #[test]
-    fn find_seq_handles_gaps() {
-        let mut w: VecDeque<InFlight> = VecDeque::new();
-        for s in [1u64, 2, 3, 7, 8] {
+    /// A window holding `seqs` whose ring storage wraps, so `as_slices`
+    /// splits it in two.
+    fn wrapped_window(seqs: &[u64]) -> VecDeque<InFlight> {
+        let mut w: VecDeque<InFlight> = VecDeque::with_capacity(seqs.len());
+        let cap = w.capacity() as u64;
+        for s in 0..cap - 2 {
             w.push_back(op(s));
         }
-        assert_eq!(find_seq(&w, 3), Some(2));
-        assert_eq!(find_seq(&w, 7), Some(3));
-        assert_eq!(find_seq(&w, 4), None);
-        assert_eq!(find_seq(&w, 0), None);
+        while w.pop_front().is_some() {}
+        for &s in seqs {
+            w.push_back(op(s));
+        }
+        assert!(!w.as_slices().1.is_empty(), "window must wrap the ring");
+        w
     }
 
     #[test]
-    fn find_seq_across_ring_wrap() {
-        // Force the VecDeque to wrap so as_slices returns two parts.
-        let mut w: VecDeque<InFlight> = VecDeque::with_capacity(4);
-        w.push_back(op(0));
-        w.push_back(op(1));
-        w.pop_front();
-        w.pop_front();
-        for s in 2..6 {
-            w.push_back(op(s));
+    fn find_seq_handles_gaps_across_ring_wrap() {
+        // 0, 1 and 2 squash gaps. The two probes cover the first two
+        // windows; the middle run of the last one (15..=17) is reachable
+        // only through the binary-search fallback.
+        let windows: [&[u64]; 3] = [
+            &[10, 11, 12, 13, 14, 15, 16],
+            &[10, 11, 12, 20, 21, 22, 23],
+            &[10, 11, 15, 16, 17, 30, 31],
+        ];
+        for seqs in windows {
+            let w = wrapped_window(seqs);
+            for s in 0..40 {
+                let want = seqs.iter().position(|&x| x == s);
+                assert_eq!(find_seq(&w, s), want, "seq {s} in {seqs:?}");
+            }
         }
-        for s in 2..6 {
-            assert!(find_seq(&w, s).is_some(), "seq {s} not found");
-        }
+        assert_eq!(find_seq(&VecDeque::new(), 0), None);
     }
 
     #[test]

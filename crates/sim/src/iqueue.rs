@@ -17,6 +17,12 @@
 //! its tail and stops at the first survivor, so the cost is O(victims);
 //! every other thread's entries are untouched. All link surgery is O(1).
 //!
+//! An entry can also sit on a third list, the **ready list**: the entries
+//! the owner has marked ready ([`IndexedQueue::mark_ready`]), kept in
+//! global age order by an insertion stamp. The issue stage walks only this
+//! list, so a dep-blocked entry costs nothing until its producers finish.
+//! Removal takes an entry off every list it is on.
+//!
 //! The pre-optimization `Vec`+`retain` semantics are preserved verbatim —
 //! [`reference::RetainQueue`] keeps that implementation alive as the
 //! oracle for the differential property tests in
@@ -35,12 +41,22 @@ struct Node<T> {
     seq: u64,
     payload: T,
     tid: u8,
+    /// Queued; false once removed (the slot is then a dead residue on the
+    /// free list until `alloc` reuses it).
+    live: bool,
+    /// On the ready list.
+    ready: bool,
+    /// Insertion stamp: global age order as a number.
+    age: u64,
     /// Global age-order links.
     prev: u32,
     next: u32,
     /// Per-thread (seq-order) links.
     tprev: u32,
     tnext: u32,
+    /// Ready-list (age-order) links, meaningful while `ready`.
+    rprev: u32,
+    rnext: u32,
 }
 
 /// A shared queue with O(1) append/unlink and O(victims) per-thread purge.
@@ -54,6 +70,11 @@ pub struct IndexedQueue<T> {
     ttails: Vec<u32>,
     tlens: Vec<u32>,
     len: usize,
+    rhead: u32,
+    rtail: u32,
+    rlen: usize,
+    /// Stamp of the next pushed entry.
+    next_age: u64,
 }
 
 impl<T> IndexedQueue<T> {
@@ -69,6 +90,10 @@ impl<T> IndexedQueue<T> {
             ttails: vec![NIL; n_threads],
             tlens: vec![0; n_threads],
             len: 0,
+            rhead: NIL,
+            rtail: NIL,
+            rlen: 0,
+            next_age: 0,
         }
     }
 
@@ -119,11 +144,17 @@ impl<T> IndexedQueue<T> {
             seq,
             payload,
             tid: tid.0,
+            live: true,
+            ready: false,
+            age: self.next_age,
             prev: self.tail,
             next: NIL,
             tprev: self.ttails[ti],
             tnext: NIL,
+            rprev: NIL,
+            rnext: NIL,
         });
+        self.next_age += 1;
         if self.tail != NIL {
             self.nodes[self.tail as usize].next = idx;
         } else {
@@ -143,17 +174,18 @@ impl<T> IndexedQueue<T> {
 
     /// Does the slab slot `idx` still hold the live entry `(tid, seq)`?
     ///
-    /// A freed slot retains its last key until `alloc` overwrites it, and
     /// `(tid, seq)` keys are never reused within one queue (per-thread
-    /// sequence numbers are monotone), so a key match identifies either
-    /// the original entry or its dead residue — and writes through a dead
-    /// residue's payload are unobservable. A reused slot holds a
-    /// different key and compares unequal. This is what makes a stale
-    /// index a safe *weak* reference rather than a dangling one.
+    /// sequence numbers are monotone), so a live slot with a matching key
+    /// is the original entry. A freed slot keeps its last key until
+    /// `alloc` overwrites it, but it is no longer live; a reused slot holds
+    /// a different key. Both compare unequal, which is what makes a stale
+    /// index a safe *weak* reference rather than a dangling one. Acting on
+    /// a freed slot would not be harmless: readying it would link a dead
+    /// node into the ready list.
     #[inline]
     pub fn entry_matches(&self, idx: u32, tid: Tid, seq: u64) -> bool {
         match self.nodes.get(idx as usize) {
-            Some(n) => n.tid == tid.0 && n.seq == seq,
+            Some(n) => n.live && n.tid == tid.0 && n.seq == seq,
             None => false,
         }
     }
@@ -183,9 +215,84 @@ impl<T> IndexedQueue<T> {
         } else {
             self.ttails[ti] = tprev;
         }
+        if self.nodes[idx as usize].ready {
+            self.unlink_ready(idx);
+        }
+        self.nodes[idx as usize].live = false;
         self.free.push(idx);
         self.len -= 1;
         self.tlens[ti] -= 1;
+    }
+
+    fn unlink_ready(&mut self, idx: u32) {
+        let n = &mut self.nodes[idx as usize];
+        n.ready = false;
+        let (rprev, rnext) = (n.rprev, n.rnext);
+        if rprev != NIL {
+            self.nodes[rprev as usize].rnext = rnext;
+        } else {
+            self.rhead = rnext;
+        }
+        if rnext != NIL {
+            self.nodes[rnext as usize].rprev = rprev;
+        } else {
+            self.rtail = rprev;
+        }
+        self.rlen -= 1;
+    }
+
+    /// Put the entry at `idx` on the ready list, in age order. A no-op for
+    /// an entry already on it and for a freed slot.
+    pub fn mark_ready(&mut self, idx: u32) {
+        let n = &self.nodes[idx as usize];
+        if !n.live || n.ready {
+            return;
+        }
+        let age = n.age;
+        // Walk back from the youngest ready entry to this one's place: a
+        // freshly pushed entry is the youngest of all and links in O(1).
+        let mut prev = self.rtail;
+        while prev != NIL && self.nodes[prev as usize].age > age {
+            prev = self.nodes[prev as usize].rprev;
+        }
+        let next = if prev == NIL {
+            self.rhead
+        } else {
+            self.nodes[prev as usize].rnext
+        };
+        let n = &mut self.nodes[idx as usize];
+        n.ready = true;
+        n.rprev = prev;
+        n.rnext = next;
+        if prev == NIL {
+            self.rhead = idx;
+        } else {
+            self.nodes[prev as usize].rnext = idx;
+        }
+        if next == NIL {
+            self.rtail = idx;
+        } else {
+            self.nodes[next as usize].rprev = idx;
+        }
+        self.rlen += 1;
+    }
+
+    /// Cursor to the oldest ready entry ([`NIL`] when none is ready).
+    #[inline]
+    pub fn first_ready(&self) -> u32 {
+        self.rhead
+    }
+
+    /// Cursor following `idx` on the ready list.
+    #[inline]
+    pub fn next_ready(&self, idx: u32) -> u32 {
+        self.nodes[idx as usize].rnext
+    }
+
+    /// Entries on the ready list.
+    #[inline]
+    pub fn ready_len(&self) -> usize {
+        self.rlen
     }
 
     /// Remove the entry at `idx` (a cursor obtained from [`Self::first`] /
@@ -364,16 +471,25 @@ impl<T> IndexedQueue<T> {
         Ok(q)
     }
 
-    /// Recheck every structural invariant from scratch: link symmetry on
-    /// both lists, per-thread seq order, length bookkeeping, slab
-    /// accounting. O(len); called from tests and `check_invariants`.
+    /// Recheck every structural invariant from scratch: link symmetry and
+    /// order on all three lists, per-thread seq order, length bookkeeping,
+    /// slab accounting. O(len); called from tests and `check_invariants`.
     pub fn validate(&self) {
         let mut count = 0usize;
+        let mut flagged = 0usize;
         let mut prev = NIL;
         let mut idx = self.head;
         while idx != NIL {
             let n = &self.nodes[idx as usize];
+            assert!(n.live, "freed slot {idx} on the global list");
             assert_eq!(n.prev, prev, "global prev link broken at {idx}");
+            if prev != NIL {
+                assert!(
+                    n.age > self.nodes[prev as usize].age,
+                    "global list out of age order at {idx}"
+                );
+            }
+            flagged += n.ready as usize;
             count += 1;
             prev = idx;
             idx = n.next;
@@ -408,6 +524,56 @@ impl<T> IndexedQueue<T> {
             self.nodes.len(),
             "slab accounting drift"
         );
+        assert!(
+            self.free.iter().all(|&f| !self.nodes[f as usize].live),
+            "live entry on the free list"
+        );
+        // Ready list: symmetric links, strictly increasing age, and exactly
+        // the entries flagged ready.
+        let mut rcount = 0usize;
+        let mut rprev = NIL;
+        let mut idx = self.rhead;
+        while idx != NIL {
+            let n = &self.nodes[idx as usize];
+            assert!(
+                n.live && n.ready,
+                "unflagged or freed entry {idx} on the ready list"
+            );
+            assert_eq!(n.rprev, rprev, "ready prev link broken at {idx}");
+            if rprev != NIL {
+                assert!(
+                    n.age > self.nodes[rprev as usize].age,
+                    "ready list out of age order at {idx}"
+                );
+            }
+            rcount += 1;
+            rprev = idx;
+            idx = n.rnext;
+        }
+        assert_eq!(self.rtail, rprev, "ready tail link broken");
+        assert_eq!(rcount, self.rlen, "ready length drift");
+        assert_eq!(
+            flagged, self.rlen,
+            "ready flags disagree with the ready list"
+        );
+    }
+
+    /// [`Self::validate`], plus ready-list membership: an entry is on the
+    /// ready list exactly when `is_ready` holds for its payload.
+    pub fn validate_ready(&self, is_ready: impl Fn(&T) -> bool) {
+        self.validate();
+        let mut idx = self.head;
+        while idx != NIL {
+            let n = &self.nodes[idx as usize];
+            assert_eq!(
+                n.ready,
+                is_ready(&n.payload),
+                "ready-list membership wrong for t{} seq {}",
+                n.tid,
+                n.seq
+            );
+            idx = n.next;
+        }
     }
 }
 
@@ -665,6 +831,58 @@ mod tests {
         assert!(
             IndexedQueue::<u32>::decode_with(&mut ByteReader::new(&bytes), |r| r.u32()).is_err()
         );
+    }
+
+    fn ready(q: &IndexedQueue<u32>) -> Vec<u32> {
+        let mut out = Vec::new();
+        let mut idx = q.first_ready();
+        while idx != NIL {
+            out.push(*q.payload(idx));
+            idx = q.next_ready(idx);
+        }
+        out
+    }
+
+    #[test]
+    fn ready_list_keeps_age_order_and_follows_removal() {
+        let mut q = IndexedQueue::new(2, 8);
+        // Thread 0 holds seqs 0, 2, 4 and thread 1 seqs 1, 3, 5; the
+        // payload is the global age.
+        let slots: Vec<u32> = (0..6u64)
+            .map(|s| q.push_back(Tid((s % 2) as u8), s, s as u32))
+            .collect();
+        for i in [4, 1, 5, 0, 1] {
+            q.mark_ready(slots[i]); // out of age order, one twice
+        }
+        assert_eq!(ready(&q), vec![0, 1, 4, 5]);
+        assert_eq!(q.ready_len(), 4);
+        q.validate();
+        q.remove(slots[1]);
+        q.squash_tail(Tid(1), 5);
+        q.mark_ready(slots[2]);
+        assert_eq!(ready(&q), vec![0, 2, 4]);
+        q.validate_ready(|p| [0, 2, 4].contains(p));
+    }
+
+    #[test]
+    fn freed_and_reused_slots_never_join_the_ready_list() {
+        let mut q = IndexedQueue::new(1, 4);
+        let a = q.push_back(Tid(0), 0, 0);
+        let b = q.push_back(Tid(0), 1, 1);
+        q.squash_tail(Tid(0), 1);
+        // A stale reference to the freed slot neither matches nor readies.
+        assert!(!q.entry_matches(b, Tid(0), 1));
+        q.mark_ready(b);
+        assert_eq!(q.ready_len(), 0);
+        // The slab hands the slot to the next entry; the old key still
+        // fails to match it.
+        let c = q.push_back(Tid(0), 2, 2);
+        assert_eq!(c, b, "the slab reuses the freed slot");
+        assert!(!q.entry_matches(c, Tid(0), 1));
+        assert!(q.entry_matches(c, Tid(0), 2));
+        q.mark_ready(a);
+        assert_eq!(ready(&q), vec![0]);
+        q.validate_ready(|&p| p == 0);
     }
 
     #[test]

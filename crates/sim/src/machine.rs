@@ -36,7 +36,8 @@ use crate::wrongpath::WrongPathGen;
 use smt_isa::codec::{self, ByteReader, ByteWriter, Codec, CodecError};
 use smt_isa::{BranchKind, OpKind, RegClass, Tid};
 use smt_workloads::{SplitMix64, UopStream};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Process-wide default for event-horizon cycle skipping on machines built
@@ -106,11 +107,12 @@ struct IqData {
     deps_done: bool,
     /// Outstanding (not yet completed) producers, maintained by the wake
     /// chains: dispatch counts the live producers, each producer's
-    /// Done-transition decrements. Issue judges readiness as
-    /// `pending == 0` — O(1), no window binary search. Transient
-    /// acceleration state, *not* serialized (rebuilt after decode), so
-    /// snapshot bytes are unchanged; `deps_done` stays the serialized
-    /// memo. `deps_ready` remains as the search-based reference oracle.
+    /// Done-transition decrements. The entry joins its queue's ready list
+    /// the moment `pending` reaches 0, and issue walks only that list.
+    /// Transient acceleration state, *not* serialized (rebuilt after
+    /// decode), so snapshot bytes are unchanged; `deps_done` stays the
+    /// serialized memo. `deps_ready` remains as the search-based
+    /// reference oracle.
     pending: u8,
 }
 
@@ -137,10 +139,20 @@ struct ThreadCtx {
     /// Wrong-path fetch pc.
     wp_pc: u64,
     /// Lower bound on the earliest `done_at` among this thread's Executing
-    /// ops (`u64::MAX` when a fresh scan found none). Purely a fast-path
-    /// filter for the complete() scan; staleness on the low side only
-    /// costs a wasted scan, never a missed completion.
+    /// ops: exact after each completion pass (`u64::MAX` when none is
+    /// left), lowered by every issue, never raised by a squash. Gates
+    /// `complete` and feeds the skip horizon; staleness on the low side
+    /// only costs a fruitless pass, never a missed completion.
     min_done_at: u64,
+    /// Completion calendar: a min-heap of `(done_at, seq)` with one entry
+    /// pushed each time an op starts executing, so `complete` pops the
+    /// due ops instead of scanning the window. A squash leaves its
+    /// victims' entries behind: an entry is live while its op is still in
+    /// the window and executing until that `done_at`, and stale ones are
+    /// dropped as they surface. Transient acceleration state like the
+    /// wake chains: cloned, cleared by a flush, rebuilt after decode,
+    /// never serialized.
+    calendar: BinaryHeap<Reverse<(u64, u64)>>,
     /// Cold-frontend penalty of a cross-core migration: fetch is held
     /// until this cycle (0 = no pending penalty). Set by
     /// [`SmtMachine::migrate_in`], attributed as [`FetchCause::Migration`].
@@ -295,8 +307,8 @@ impl ThreadCtx {
             )));
         }
         // Rebuilt contiguous regardless of the source ring's split point —
-        // unobservable, since all window lookups go through `find_seq`'s
-        // two-slice binary search.
+        // unobservable, since all window lookups go through `find_seq`,
+        // which indexes logically.
         let mut window = VecDeque::with_capacity(cfg.rob_per_thread);
         let mut last_seq = None;
         for _ in 0..n {
@@ -323,6 +335,8 @@ impl ThreadCtx {
             min_done_at: r.u64()?,
             migration_stall_until: r.u64()?,
             counters: codec::decode_json(r)?,
+            // Rebuilt by `rebuild_wake_state` once the machine is decoded.
+            calendar: BinaryHeap::new(),
         })
     }
 
@@ -339,6 +353,33 @@ impl ThreadCtx {
     /// Would this thread like to fetch but is structurally blocked?
     fn fetch_blocked(&self, cycle: u64, cfg: &SimConfig) -> bool {
         self.fetch_enabled && !self.fetchable(cycle, cfg)
+    }
+
+    /// Start window op `i` executing until `done_at`, publishing the
+    /// deadline to `min_done_at` and the completion calendar.
+    fn start_executing(&mut self, i: usize, done_at: u64) {
+        self.window[i].stage = Stage::Executing { done_at };
+        self.min_done_at = self.min_done_at.min(done_at);
+        self.calendar.push(Reverse((done_at, self.window[i].seq)));
+    }
+
+    /// Window index of the op a calendar entry names, if the entry is
+    /// live: the op is still in the window, executing until `done_at`.
+    fn calendar_live(&self, done_at: u64, seq: u64) -> Option<usize> {
+        find_seq(&self.window, seq)
+            .filter(|&i| self.window[i].stage == Stage::Executing { done_at })
+    }
+
+    /// Drop stale entries off the calendar's top and return the earliest
+    /// live deadline (`u64::MAX` when none is left).
+    fn earliest_live_deadline(&mut self) -> u64 {
+        while let Some(Reverse((done_at, seq))) = self.calendar.peek().copied() {
+            if self.calendar_live(done_at, seq).is_some() {
+                return done_at;
+            }
+            self.calendar.pop();
+        }
+        u64::MAX
     }
 }
 
@@ -405,15 +446,16 @@ pub struct SmtMachine {
     /// never serialized, reset on decode — so snapshot bytes stay
     /// independent of the skip setting.
     skipped_cycles: u64,
-    /// [`SmtMachine::work_fingerprint`] of the machine as the last step
-    /// began. The skip gate compares the current fingerprint against it:
-    /// equality means the last stepped cycle changed none of the state
-    /// the pipeline consults, so a full [`SmtMachine::stall_horizon`]
-    /// scan is worth paying. Purely a performance heuristic — the scan
-    /// stays the sole authority on whether skipping is sound — and
-    /// transient like `skipped_cycles`: never serialized, reset on
+    /// Ops the stages moved in the last stepped cycle: completed, retired,
+    /// issued, popped from the dispatch FIFO, fetched. Zero means that
+    /// cycle was a pure stall, so the skip gate pays for a full
+    /// [`SmtMachine::stall_horizon`] scan. Purely a performance heuristic
+    /// — the scan stays the sole authority on whether skipping is sound —
+    /// and transient like `skipped_cycles`: never serialized, reset on
     /// decode.
-    last_work_fp: u64,
+    step_work: u32,
+    /// Scratch for `complete`'s due window indices; empty between cycles.
+    due_buf: Vec<usize>,
 }
 
 impl SmtMachine {
@@ -446,6 +488,7 @@ impl SmtMachine {
                     wrong_path_since: None,
                     wp_pc: 0,
                     min_done_at: u64::MAX,
+                    calendar: BinaryHeap::new(),
                     migration_stall_until: 0,
                     counters: ThreadCounters::default(),
                 }
@@ -475,7 +518,8 @@ impl SmtMachine {
             wake: WakeArena::default(),
             skip_enabled: skip_default(),
             skipped_cycles: 0,
-            last_work_fp: 0,
+            step_work: 0,
+            due_buf: Vec::new(),
             cycle: 0,
             cfg,
         }
@@ -582,7 +626,8 @@ impl SmtMachine {
             wake: WakeArena::default(),
             skip_enabled: skip_default(),
             skipped_cycles: 0,
-            last_work_fp: 0,
+            step_work: 0,
+            due_buf: Vec::new(),
             cfg,
             cycle,
             mem,
@@ -599,22 +644,27 @@ impl SmtMachine {
             global,
             dispatch_fifo,
         };
-        // The wake chains and `pending` counters are transient (not part
-        // of the byte format) and the queue decode does not preserve slab
-        // indices, so recompute them from the decoded windows/queues.
+        // The wake chains, `pending` counters, ready lists and completion
+        // calendars are transient (not part of the byte format) and the
+        // queue decode does not preserve slab indices, so recompute them
+        // from the decoded windows/queues.
         m.rebuild_wake_state();
         Ok(m)
     }
 
-    /// Recompute the readiness-tracking acceleration state (wake chains
-    /// and per-entry `pending` counters) from the architecturally
-    /// serialized state: windows, queues and `deps`. Used after decode;
-    /// `Clone` preserves the state directly.
+    /// Recompute the transient acceleration state (wake chains, per-entry
+    /// `pending` counters, IQ ready lists, completion calendars) from the
+    /// architecturally serialized state: windows, queues and `deps`. Used
+    /// after decode; `Clone` preserves the state directly.
     fn rebuild_wake_state(&mut self) {
         self.wake.clear();
         for ctx in &mut self.threads {
+            ctx.calendar.clear();
             for op in ctx.window.iter_mut() {
                 op.wake_head = NO_WAKE;
+                if let Stage::Executing { done_at } = op.stage {
+                    ctx.calendar.push(Reverse((done_at, op.seq)));
+                }
             }
         }
         for is_fp in [false, true] {
@@ -630,10 +680,7 @@ impl SmtMachine {
             }
             for (slot, tid, seq, deps) in entries {
                 let ctx = &mut self.threads[tid.idx()];
-                let oldest = match ctx.window.front() {
-                    Some(f) => f.seq,
-                    None => continue,
-                };
+                let oldest = ctx.window.front().map_or(u64::MAX, |f| f.seq);
                 let mut pending = 0u8;
                 for dep in deps.iter().copied().flatten() {
                     if dep < oldest {
@@ -658,6 +705,9 @@ impl SmtMachine {
                     &mut self.int_iq
                 };
                 q.payload_mut(slot).pending = pending;
+                if pending == 0 {
+                    q.mark_ready(slot);
+                }
             }
         }
     }
@@ -919,7 +969,7 @@ impl SmtMachine {
         while self.cycle < end {
             // The full horizon scan is only worth paying when the last
             // stepped cycle demonstrably did nothing; an active pipeline
-            // changes the fingerprint every cycle and never pays it.
+            // moves ops every cycle and never pays it.
             if self.skip_enabled && self.idle_since_last_step() {
                 if let Some(horizon) = self.stall_horizon() {
                     // `stall_horizon` only yields cycles strictly ahead of
@@ -933,44 +983,11 @@ impl SmtMachine {
         }
     }
 
-    /// A cheap digest of every piece of state the pipeline stages consume:
-    /// queue and window occupancies, completion deadlines, free registers,
-    /// the commit/fetch odometers, and the timed-stall expiries. Any cycle
-    /// in which some stage acted changes at least one component (a
-    /// completion lowers `min_done_at` or retires into `committed`, an
-    /// issue shrinks an IQ, a dispatch pops the FIFO, a fetch grows a
-    /// window or starts a timed stall), so an unchanged fingerprint means
-    /// the cycle was a pure stall. Collisions merely cost one fruitless
-    /// [`SmtMachine::stall_horizon`] scan — the gate is a performance
-    /// heuristic, never a correctness authority.
-    #[inline]
-    fn work_fingerprint(&self) -> u64 {
-        const P: u64 = 0x100000001b3; // FNV-1a prime
-        let mut h: u64 = self.int_iq.len() as u64;
-        h = (h ^ self.fp_iq.len() as u64).wrapping_mul(P);
-        h = (h ^ self.lsq.len() as u64).wrapping_mul(P);
-        h = (h ^ self.dispatch_fifo.len() as u64).wrapping_mul(P);
-        h = (h ^ self.pending_syscalls.len() as u64).wrapping_mul(P);
-        h = (h ^ self.free_int_regs as u64).wrapping_mul(P);
-        h = (h ^ self.free_fp_regs as u64).wrapping_mul(P);
-        h = (h ^ self.global.committed).wrapping_mul(P);
-        h = (h ^ self.global.fetch_slots_used).wrapping_mul(P);
-        for ctx in &self.threads {
-            h = (h ^ ctx.window.len() as u64).wrapping_mul(P);
-            h = (h ^ ctx.counters.front_end_occ as u64).wrapping_mul(P);
-            h = (h ^ ctx.min_done_at).wrapping_mul(P);
-            h = (h ^ ctx.icache_stall_until).wrapping_mul(P);
-            h = (h ^ ctx.redirect_stall_until).wrapping_mul(P);
-            h = (h ^ ctx.migration_stall_until).wrapping_mul(P);
-        }
-        h
-    }
-
-    /// Did the last stepped cycle leave all pipeline-visible state
-    /// untouched? (The skip gate; see [`SmtMachine::work_fingerprint`].)
+    /// Did the last stepped cycle move no op through any stage? (The skip
+    /// gate; see the `step_work` field.)
     #[inline]
     pub(crate) fn idle_since_last_step(&self) -> bool {
-        self.work_fingerprint() == self.last_work_fp
+        self.step_work == 0
     }
 
     /// One cycle, monomorphized on whether any instrumentation (event
@@ -980,12 +997,7 @@ impl SmtMachine {
     /// checks `self.attr`, so either can be on without the other.
     fn step_impl<C: FetchChooser, const TRACE: bool>(&mut self, chooser: &mut C) {
         debug_assert_eq!(TRACE, self.instrumented());
-        // Remember what the machine looked like as this cycle began; if it
-        // still looks the same next cycle, the skip gate knows this cycle
-        // was a pure stall. Skip-off runs don't pay for the digest.
-        if self.skip_enabled {
-            self.last_work_fp = self.work_fingerprint();
-        }
+        self.step_work = 0;
         if TRACE {
             self.attr_begin_cycle();
         }
@@ -1057,51 +1069,43 @@ impl SmtMachine {
         }
 
         // Issue: per-cycle unit/port budgets reset every cycle, so any
-        // dep-ready entry issues now — except divides gated by a busy
+        // ready-list entry issues now — except divides gated by a busy
         // divider, whose release cycle is a horizon candidate.
-        let mut idx = self.int_iq.first();
+        let mut idx = self.int_iq.first_ready();
         while idx != NIL {
-            let d = self.int_iq.payload(idx);
-            if d.deps_done || d.pending == 0 {
-                match d.kind {
-                    OpKind::IntDiv => {
-                        if self.cfg.int_alus > 0 {
-                            if self.int_div_free_at <= now {
-                                return None;
-                            }
-                            horizon = horizon.min(self.int_div_free_at);
-                        }
-                    }
-                    OpKind::Load | OpKind::Store => {
-                        if self.cfg.ldst_ports > 0 {
+            match self.int_iq.payload(idx).kind {
+                OpKind::IntDiv => {
+                    if self.cfg.int_alus > 0 {
+                        if self.int_div_free_at <= now {
                             return None;
                         }
-                    }
-                    // Handled by the drain path, never issued from here.
-                    OpKind::Syscall => {}
-                    _ => {
-                        if self.cfg.int_alus > 0 {
-                            return None;
-                        }
+                        horizon = horizon.min(self.int_div_free_at);
                     }
                 }
-            }
-            idx = self.int_iq.next_of(idx);
-        }
-        let mut idx = self.fp_iq.first();
-        while idx != NIL {
-            let d = self.fp_iq.payload(idx);
-            if (d.deps_done || d.pending == 0) && self.cfg.fp_units > 0 {
-                if d.kind == OpKind::FpDiv {
-                    if self.fp_div_free_at <= now {
+                OpKind::Load | OpKind::Store => {
+                    if self.cfg.ldst_ports > 0 {
                         return None;
                     }
-                    horizon = horizon.min(self.fp_div_free_at);
-                } else {
-                    return None;
+                }
+                // Handled by the drain path, never issued from here.
+                OpKind::Syscall => {}
+                _ => {
+                    if self.cfg.int_alus > 0 {
+                        return None;
+                    }
                 }
             }
-            idx = self.fp_iq.next_of(idx);
+            idx = self.int_iq.next_ready(idx);
+        }
+        if self.cfg.fp_units > 0 {
+            let mut idx = self.fp_iq.first_ready();
+            while idx != NIL {
+                if self.fp_iq.payload(idx).kind != OpKind::FpDiv || self.fp_div_free_at <= now {
+                    return None;
+                }
+                horizon = horizon.min(self.fp_div_free_at);
+                idx = self.fp_iq.next_ready(idx);
+            }
         }
 
         // Dispatch consumes strictly from the FIFO head: popping a
@@ -1228,28 +1232,22 @@ impl SmtMachine {
         let end = now + k;
         let drain = !self.pending_syscalls.is_empty();
 
-        // The first skipped cycle's issue walk visits every entry
+        // The first skipped cycle's issue walk visits every ready entry
         // (nothing issues, so the budget never runs out) and memoizes
-        // `deps_done` on each dep-ready one — try_issue marks the memo
-        // *before* discovering the unit is busy. `deps_done` is
-        // serialized state, so replay it or snapshots would diverge.
+        // `deps_done` on each — try_issue marks the memo *before*
+        // discovering the unit is busy. `deps_done` is serialized state,
+        // so replay it or snapshots would diverge.
         if self.cfg.issue_width > 0 {
-            let mut idx = self.int_iq.first();
+            let mut idx = self.int_iq.first_ready();
             while idx != NIL {
-                let d = self.int_iq.payload_mut(idx);
-                if d.pending == 0 {
-                    d.deps_done = true;
-                }
-                idx = self.int_iq.next_of(idx);
+                self.int_iq.payload_mut(idx).deps_done = true;
+                idx = self.int_iq.next_ready(idx);
             }
             if self.cfg.fp_units > 0 {
-                let mut idx = self.fp_iq.first();
+                let mut idx = self.fp_iq.first_ready();
                 while idx != NIL {
-                    let d = self.fp_iq.payload_mut(idx);
-                    if d.pending == 0 {
-                        d.deps_done = true;
-                    }
-                    idx = self.fp_iq.next_of(idx);
+                    self.fp_iq.payload_mut(idx).deps_done = true;
+                    idx = self.fp_iq.next_ready(idx);
                 }
             }
         }
@@ -1438,28 +1436,35 @@ impl SmtMachine {
     fn complete<const TRACE: bool>(&mut self) {
         let now = self.cycle;
         // Branch mispredict squashes are collected first, then applied, so
-        // the window scan does not fight the borrow checker. The buffer is
-        // a machine field, kept empty between cycles — no allocation on
-        // the hot path.
+        // the completion pass does not fight the borrow checker. Both
+        // buffers are machine fields, kept empty between cycles — no
+        // allocation on the hot path.
         let mut squashes = std::mem::take(&mut self.squash_buf);
         debug_assert!(squashes.is_empty());
+        let mut due = std::mem::take(&mut self.due_buf);
         let mut trace = if TRACE { self.trace.take() } else { None };
         for (ti, ctx) in self.threads.iter_mut().enumerate() {
             if ctx.min_done_at > now {
                 continue;
             }
             let tid = ctx.tid;
-            let mut next_min = u64::MAX;
-            for i in 0..ctx.window.len() {
-                let op = &mut ctx.window[i];
-                let done_at = match op.stage {
-                    Stage::Executing { done_at } => done_at,
-                    _ => continue,
-                };
+            // Pop the due calendar entries, drop those whose op was
+            // squashed, and finish the rest oldest first: the window order
+            // a scan would visit them in.
+            due.clear();
+            while let Some(Reverse((done_at, seq))) = ctx.calendar.peek().copied() {
                 if done_at > now {
-                    next_min = next_min.min(done_at);
-                    continue;
+                    break;
                 }
+                ctx.calendar.pop();
+                if let Some(i) = ctx.calendar_live(done_at, seq) {
+                    due.push(i);
+                }
+            }
+            due.sort_unstable();
+            self.step_work += due.len() as u32;
+            for &i in &due {
+                let op = &mut ctx.window[i];
                 op.stage = Stage::Done;
                 let wake_head = std::mem::replace(&mut op.wake_head, NO_WAKE);
                 // Copy the facts out so counter updates don't fight the
@@ -1499,6 +1504,9 @@ impl SmtMachine {
                         let p = queue.payload_mut(node.slot);
                         debug_assert!(p.pending > 0, "wake underflow");
                         p.pending = p.pending.saturating_sub(1);
+                        if p.pending == 0 {
+                            queue.mark_ready(node.slot);
+                        }
                     }
                     self.wake.free.push(widx);
                     widx = node.next;
@@ -1535,8 +1543,9 @@ impl SmtMachine {
                     _ => {}
                 }
             }
-            ctx.min_done_at = next_min;
+            ctx.min_done_at = ctx.earliest_live_deadline();
         }
+        self.due_buf = due;
         if TRACE {
             self.trace = trace.take();
         }
@@ -1706,6 +1715,7 @@ impl SmtMachine {
                 }
             }
         }
+        self.step_work += (self.cfg.commit_width - budget) as u32;
         if TRACE {
             self.attr_commit(budget);
         }
@@ -1781,10 +1791,9 @@ impl SmtMachine {
                 let ctx = &mut self.threads[q.tid.idx()];
                 if let Some(i) = find_seq(&ctx.window, q.seq) {
                     if ctx.window[i].in_front_end() {
-                        let done_at = now + self.cfg.syscall_latency;
-                        ctx.window[i].stage = Stage::Executing { done_at };
-                        ctx.min_done_at = ctx.min_done_at.min(done_at);
+                        ctx.start_executing(i, now + self.cfg.syscall_latency);
                         ctx.counters.front_end_occ -= 1;
+                        self.step_work += 1;
                     }
                 }
             }
@@ -1797,12 +1806,13 @@ impl SmtMachine {
 
         // Issue frees the queue slot; long-latency *dep-blocked* ops are
         // what clog the queues (Tullsen's "IQ clog"), not issued ops.
-        // Cursor walk in age order: an issued entry is unlinked in O(1),
-        // kept entries are never moved or rewritten (the Vec version
-        // rebuilt both queues every cycle).
-        let mut idx = self.int_iq.first();
+        // Walk only the ready lists, oldest first: a dep-blocked entry
+        // neither issues nor spends budget nor writes anything, so passing
+        // it over leaves every decision unchanged. An issued entry is
+        // unlinked in O(1).
+        let mut idx = self.int_iq.first_ready();
         while idx != NIL && budget > 0 {
-            let next = self.int_iq.next_of(idx);
+            let next = self.int_iq.next_ready(idx);
             if self.try_issue_int::<TRACE>(idx, now, &mut int_units, &mut ldst_ports) {
                 self.int_iq.remove(idx);
                 budget -= 1;
@@ -1810,15 +1820,16 @@ impl SmtMachine {
             idx = next;
         }
 
-        let mut idx = self.fp_iq.first();
+        let mut idx = self.fp_iq.first_ready();
         while idx != NIL && budget > 0 && fp_units > 0 {
-            let next = self.fp_iq.next_of(idx);
+            let next = self.fp_iq.next_ready(idx);
             if self.try_issue_fp::<TRACE>(idx, now, &mut fp_units) {
                 self.fp_iq.remove(idx);
                 budget -= 1;
             }
             idx = next;
         }
+        self.step_work += (self.cfg.issue_width - budget) as u32;
         if TRACE {
             self.attr_issue_end(budget);
         }
@@ -1836,24 +1847,14 @@ impl SmtMachine {
         let (tid, seq) = self.int_iq.key(idx);
         let q = QRef { tid, seq };
         let d = *self.int_iq.payload(idx);
-        // Judge dep-blocked entries from the cached payload alone: the
-        // wake chains keep `pending` current, so readiness is one counter
-        // compare — no window binary search at all. `deps_ready` is kept
-        // as the reference oracle and cross-checked in debug builds.
-        if !d.deps_done {
-            if d.pending != 0 {
-                debug_assert!(
-                    !Self::deps_ready(&self.threads[tid.idx()], &d.deps),
-                    "pending > 0 but search says ready"
-                );
-                return false;
-            }
-            debug_assert!(
-                Self::deps_ready(&self.threads[tid.idx()], &d.deps),
-                "pending == 0 but search says blocked"
-            );
-            self.int_iq.payload_mut(idx).deps_done = true;
-        }
+        // Only ready-list entries get here; `deps_ready` is kept as the
+        // reference oracle. The memo is written before the unit check, as
+        // the full-queue walk did.
+        debug_assert!(
+            d.pending == 0 && Self::deps_ready(&self.threads[tid.idx()], &d.deps),
+            "ready-list entry not ready"
+        );
+        self.int_iq.payload_mut(idx).deps_done = true;
         let done_at = match d.kind {
             OpKind::IntAlu | OpKind::Nop | OpKind::Branch => {
                 if *int_units == 0 {
@@ -1900,8 +1901,7 @@ impl SmtMachine {
             return false;
         };
         debug_assert!(ctx.window[i].is_queued(), "issued op left in queue");
-        ctx.window[i].stage = Stage::Executing { done_at };
-        ctx.min_done_at = ctx.min_done_at.min(done_at);
+        ctx.start_executing(i, done_at);
         ctx.counters.iq_occ -= 1;
         if TRACE {
             self.trace_push(TraceEvent::Issue {
@@ -1935,8 +1935,7 @@ impl SmtMachine {
             (1 + r.latency, r.l1_miss, r.l2_miss)
         };
         let ctx = &mut self.threads[ti];
-        ctx.window[i].stage = Stage::Executing { done_at: now + lat };
-        ctx.min_done_at = ctx.min_done_at.min(now + lat);
+        ctx.start_executing(i, now + lat);
         ctx.window[i].dmiss = l1_miss;
         ctx.counters.iq_occ -= 1;
         if !wrong_path {
@@ -1990,8 +1989,7 @@ impl SmtMachine {
         // latency from the store itself.
         let r = self.mem.data(addr);
         let ctx = &mut self.threads[ti];
-        ctx.window[i].stage = Stage::Executing { done_at: now + 1 };
-        ctx.min_done_at = ctx.min_done_at.min(now + 1);
+        ctx.start_executing(i, now + 1);
         ctx.counters.iq_occ -= 1;
         if !wrong_path {
             ctx.counters.stores += 1;
@@ -2042,20 +2040,11 @@ impl SmtMachine {
         let (tid, seq) = self.fp_iq.key(idx);
         let q = QRef { tid, seq };
         let d = *self.fp_iq.payload(idx);
-        if !d.deps_done {
-            if d.pending != 0 {
-                debug_assert!(
-                    !Self::deps_ready(&self.threads[tid.idx()], &d.deps),
-                    "pending > 0 but search says ready"
-                );
-                return false;
-            }
-            debug_assert!(
-                Self::deps_ready(&self.threads[tid.idx()], &d.deps),
-                "pending == 0 but search says blocked"
-            );
-            self.fp_iq.payload_mut(idx).deps_done = true;
-        }
+        debug_assert!(
+            d.pending == 0 && Self::deps_ready(&self.threads[tid.idx()], &d.deps),
+            "ready-list entry not ready"
+        );
+        self.fp_iq.payload_mut(idx).deps_done = true;
         let done_at = match d.kind {
             OpKind::FpAlu => now + self.cfg.lat_fp_alu,
             OpKind::FpMul => now + self.cfg.lat_fp_mul,
@@ -2075,8 +2064,7 @@ impl SmtMachine {
             return false;
         };
         debug_assert!(ctx.window[i].is_queued(), "issued op left in queue");
-        ctx.window[i].stage = Stage::Executing { done_at };
-        ctx.min_done_at = ctx.min_done_at.min(done_at);
+        ctx.start_executing(i, done_at);
         ctx.counters.iq_occ -= 1;
         if TRACE {
             self.trace_push(TraceEvent::Issue {
@@ -2095,6 +2083,7 @@ impl SmtMachine {
 
     fn dispatch<const TRACE: bool>(&mut self) {
         let now = self.cycle;
+        let fifo_len = self.dispatch_fifo.len();
         let mut budget = self.cfg.dispatch_width;
         while budget > 0 {
             let Some((tid, seq, _)) = self.dispatch_fifo.front() else {
@@ -2190,12 +2179,14 @@ impl SmtMachine {
                     }
                 }
             }
-            if pending != 0 {
-                let q = if is_fp {
-                    &mut self.fp_iq
-                } else {
-                    &mut self.int_iq
-                };
+            let q = if is_fp {
+                &mut self.fp_iq
+            } else {
+                &mut self.int_iq
+            };
+            if pending == 0 {
+                q.mark_ready(slot);
+            } else {
                 q.payload_mut(slot).pending = pending;
             }
             if let Some(a8) = addr8 {
@@ -2218,6 +2209,8 @@ impl SmtMachine {
             }
             budget -= 1;
         }
+        // Every FIFO pop (dispatch, squashed bubble, syscall) is work.
+        self.step_work += (fifo_len - self.dispatch_fifo.len()) as u32;
     }
 
     // ------------------------------------------------------------------
@@ -2259,6 +2252,7 @@ impl SmtMachine {
             remaining -= self.fetch_thread::<TRACE>(v.tid, remaining);
         }
         self.view_buf = views;
+        self.step_work += (self.cfg.fetch_width - remaining) as u32;
         if TRACE {
             self.attr_fetch(remaining, false);
         }
@@ -2630,6 +2624,7 @@ impl SmtMachine {
         ctx.wrong_path_since = None;
         ctx.rename = [None; 64];
         ctx.min_done_at = u64::MAX;
+        ctx.calendar.clear();
         self.int_iq.remove_thread(tid);
         self.fp_iq.remove_thread(tid);
         self.lsq.remove_thread(tid);
@@ -2923,8 +2918,8 @@ impl SmtMachine {
         }
         assert_eq!(self.int_iq.len(), int_q, "int IQ ref-count drift");
         assert_eq!(self.fp_iq.len(), fp_q, "fp IQ ref-count drift");
-        self.int_iq.validate();
-        self.fp_iq.validate();
+        self.int_iq.validate_ready(|d| d.pending == 0);
+        self.fp_iq.validate_ready(|d| d.pending == 0);
         self.lsq.validate();
         self.dispatch_fifo.validate();
         assert!(self.int_iq.len() <= self.cfg.int_iq_size, "int IQ overflow");
@@ -2970,6 +2965,35 @@ impl SmtMachine {
                     "pending disagrees with the search oracle on {tid} seq {seq}"
                 );
                 idx = queue.next_of(idx);
+            }
+        }
+        // Completion calendars vs the windows: every Executing op has
+        // exactly one live entry carrying its current deadline, and
+        // `min_done_at` bounds the earliest of them.
+        for ctx in &self.threads {
+            let mut live: Vec<(u64, u64)> = ctx
+                .calendar
+                .iter()
+                .filter(|&&Reverse((done_at, seq))| ctx.calendar_live(done_at, seq).is_some())
+                .map(|&Reverse((done_at, seq))| (seq, done_at))
+                .collect();
+            live.sort_unstable();
+            let executing: Vec<(u64, u64)> = ctx
+                .window
+                .iter()
+                .filter_map(|op| match op.stage {
+                    Stage::Executing { done_at } => Some((op.seq, done_at)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(live, executing, "completion calendar drift on {}", ctx.tid);
+            if let Some(earliest) = executing.iter().map(|&(_, d)| d).min() {
+                assert!(
+                    ctx.min_done_at <= earliest,
+                    "min_done_at {} above the earliest live deadline {earliest} on {}",
+                    ctx.min_done_at,
+                    ctx.tid
+                );
             }
         }
         // Every allocated wake node sits on exactly one producer's chain.
@@ -3151,6 +3175,114 @@ mod tests {
         let v = m.views();
         assert_eq!(v.len(), 3);
         assert_eq!(v[2].tid, Tid(2));
+    }
+
+    /// Threads of a mispredict-heavy profile: squashes keep removing
+    /// waiters and executing ops while their producers survive.
+    fn branchy_machine(n: usize, seed: u64) -> SmtMachine {
+        let p = Arc::new(
+            AppProfile::builder("branchy")
+                .branch_frac(0.25)
+                .branch_bias(0.5)
+                .build(),
+        );
+        let streams = (0..n)
+            .map(|i| {
+                UopStream::new(
+                    p.clone(),
+                    seed + i as u64,
+                    smt_workloads::thread_addr_base(i),
+                )
+            })
+            .collect();
+        SmtMachine::new(SimConfig::with_threads(n), streams)
+    }
+
+    /// Calendar entries whose op a squash removed.
+    fn stale_calendar_entries(m: &SmtMachine) -> usize {
+        m.threads
+            .iter()
+            .map(|c| {
+                c.calendar
+                    .iter()
+                    .filter(|&&Reverse((done_at, seq))| c.calendar_live(done_at, seq).is_none())
+                    .count()
+            })
+            .sum()
+    }
+
+    #[test]
+    fn squashed_waiter_slot_reuse_keeps_the_ready_list_exact() {
+        // A waiter squashed while its producer executes leaves a wake node
+        // naming its IQ slot, and a later dispatch reuses the slot. When
+        // the producer completes, the node must neither decrement nor
+        // ready the slot's new entry: `check_invariants` recounts every
+        // `pending` against the search oracle and checks ready-list
+        // membership after every cycle.
+        let mut m = branchy_machine(2, 21);
+        let mut reused_at_wake = 0usize;
+        for _ in 0..20_000 {
+            let now = m.cycle;
+            for ctx in &m.threads {
+                for op in &ctx.window {
+                    if op.stage != (Stage::Executing { done_at: now }) {
+                        continue;
+                    }
+                    let mut w = op.wake_head;
+                    while w != NO_WAKE {
+                        let node = m.wake.nodes[w as usize];
+                        let q = if node.fp { &m.fp_iq } else { &m.int_iq };
+                        if q.key(node.slot) != (ctx.tid, node.waiter_seq) {
+                            reused_at_wake += 1;
+                        }
+                        w = node.next;
+                    }
+                }
+            }
+            m.step(&mut RoundRobin);
+            m.check_invariants();
+        }
+        assert!(
+            reused_at_wake > 0,
+            "no producer ever completed onto a reused waiter slot"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 12, ..proptest::ProptestConfig::default() })]
+
+        /// A snapshot taken while the transient state it drops is
+        /// non-trivial (calendar entries of squashed ops, queued ready
+        /// entries) restores to a machine that continues byte-identically
+        /// to a clone taken at the same cycle.
+        #[test]
+        fn restore_with_stale_calendar_and_ready_entries_matches_clone(
+            n in 1usize..5,
+            seed in 0u64..1_000,
+            post in 1u64..3_000,
+        ) {
+            use crate::snapshot::MachineSnapshot;
+            let mut live = branchy_machine(n, seed);
+            let mut steps = 0;
+            while stale_calendar_entries(&live) == 0
+                || live.int_iq.ready_len() + live.fp_iq.ready_len() == 0
+            {
+                live.step(&mut RoundRobin);
+                steps += 1;
+                proptest::prop_assert!(steps < 50_000, "no split with stale calendar entries");
+            }
+            let mut clone = live.clone();
+            let bytes = MachineSnapshot::capture(&live).to_bytes();
+            let mut restored = MachineSnapshot::from_bytes(&bytes).expect("decode").restore();
+            restored.check_invariants();
+            clone.run(post, &mut RoundRobin);
+            restored.run(post, &mut RoundRobin);
+            proptest::prop_assert_eq!(clone.counter_snapshot(), restored.counter_snapshot());
+            proptest::prop_assert_eq!(
+                MachineSnapshot::capture(&clone).to_bytes(),
+                MachineSnapshot::capture(&restored).to_bytes()
+            );
+        }
     }
 }
 
