@@ -17,9 +17,9 @@
 
 use adts_core::CondThresholds;
 use smt_bench::{
-    alloc_sweep, fixed_series, parallel::par_map, sweep, tracebench, AllocCli, BatchCli, CkptCli,
-    ExpParams, InstrumentCli, SkipCli, SpanCli, TraceCli, ALLOC_USAGE, BATCH_USAGE, CKPT_USAGE,
-    INSTRUMENT_USAGE, SKIP_USAGE, SPANS_USAGE, TRACE_USAGE,
+    alloc_sweep, fixed_series, parallel::par_map, sweep, tracebench, AllocCli, CkptCli, ExpParams,
+    InstrumentCli, SpanCli, TraceCli, ALLOC_USAGE, CKPT_USAGE, INSTRUMENT_USAGE, SPANS_USAGE,
+    TRACE_USAGE,
 };
 use smt_policies::FetchPolicy;
 use smt_stats::mean;
@@ -31,8 +31,6 @@ fn main() {
     let mut jobs = None;
     let mut instrument = InstrumentCli::default();
     let mut ckpt = CkptCli::default();
-    let mut batch = BatchCli::default();
-    let mut skip = SkipCli::default();
     let mut trace = TraceCli::default();
     let mut alloc = AllocCli::default();
     let mut spans = SpanCli::default();
@@ -65,20 +63,6 @@ fn main() {
                     if hit {
                         Ok(true)
                     } else {
-                        batch.accept(flag, &mut args)
-                    }
-                })
-                .and_then(|hit| {
-                    if hit {
-                        Ok(true)
-                    } else {
-                        skip.accept(flag, &mut args)
-                    }
-                })
-                .and_then(|hit| {
-                    if hit {
-                        Ok(true)
-                    } else {
                         trace.accept(flag, &mut args)
                     }
                 })
@@ -100,8 +84,8 @@ fn main() {
                 Ok(false) => {
                     eprintln!(
                         "error: unknown option {flag} (known: --no-cache, --jobs N, \
-                         {INSTRUMENT_USAGE}, {CKPT_USAGE}, {BATCH_USAGE}, {SKIP_USAGE}, \
-                         {TRACE_USAGE}, {ALLOC_USAGE}, {SPANS_USAGE})"
+                         {INSTRUMENT_USAGE}, {CKPT_USAGE}, {TRACE_USAGE}, \
+                         {ALLOC_USAGE}, {SPANS_USAGE})"
                     );
                     std::process::exit(2);
                 }
@@ -118,8 +102,6 @@ fn main() {
         telemetry_path: Some(PathBuf::from("results/telemetry.jsonl")),
     });
     ckpt.apply();
-    batch.apply();
-    skip.apply();
     spans.apply();
     // The paper's measurement protocol as ExpParams: the standard seed and
     // quantum, a short warmed window, all thirteen mixes.

@@ -18,9 +18,8 @@
 
 use serde::{Deserialize, Serialize};
 use smt_bench::{
-    alloc_sweep, sweep, tracebench, AllocCli, BatchCli, CkptCli, ExpParams, InstrumentCli, SkipCli,
-    SpanCli, TraceCli, ALLOC_USAGE, BATCH_USAGE, CKPT_USAGE, INSTRUMENT_USAGE, SKIP_USAGE,
-    SPANS_USAGE, TRACE_USAGE,
+    alloc_sweep, sweep, tracebench, AllocCli, CkptCli, ExpParams, InstrumentCli, SpanCli, TraceCli,
+    ALLOC_USAGE, CKPT_USAGE, INSTRUMENT_USAGE, SPANS_USAGE, TRACE_USAGE,
 };
 use smt_policies::{FetchPolicy, Tsu};
 use smt_sim::{SimConfig, SmtMachine};
@@ -73,8 +72,6 @@ fn main() {
     let mut no_cache = false;
     let mut instrument = InstrumentCli::default();
     let mut ckpt = CkptCli::default();
-    let mut batch = BatchCli::default();
-    let mut skip = SkipCli::default();
     let mut trace = TraceCli::default();
     let mut alloc = AllocCli::default();
     let mut spans = SpanCli::default();
@@ -89,20 +86,6 @@ fn main() {
                         Ok(true)
                     } else {
                         ckpt.accept(flag, &mut args)
-                    }
-                })
-                .and_then(|hit| {
-                    if hit {
-                        Ok(true)
-                    } else {
-                        batch.accept(flag, &mut args)
-                    }
-                })
-                .and_then(|hit| {
-                    if hit {
-                        Ok(true)
-                    } else {
-                        skip.accept(flag, &mut args)
                     }
                 })
                 .and_then(|hit| {
@@ -130,8 +113,8 @@ fn main() {
                 Ok(false) => {
                     eprintln!(
                         "error: unknown option {flag} (known: --no-cache, \
-                         {INSTRUMENT_USAGE}, {CKPT_USAGE}, {BATCH_USAGE}, {SKIP_USAGE}, \
-                         {TRACE_USAGE}, {ALLOC_USAGE}, {SPANS_USAGE})"
+                         {INSTRUMENT_USAGE}, {CKPT_USAGE}, {TRACE_USAGE}, \
+                         {ALLOC_USAGE}, {SPANS_USAGE})"
                     );
                     std::process::exit(2);
                 }
@@ -150,8 +133,6 @@ fn main() {
     // The instrumented passes (not the per-app measurements) go through
     // the warm pool, so the checkpoint flags apply here too.
     ckpt.apply();
-    batch.apply();
-    skip.apply();
     spans.apply();
     // Standalone trace pass — characterize has no mix protocol of its
     // own, so trace capture/replay runs at the standard experiment scale.

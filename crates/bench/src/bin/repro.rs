@@ -54,12 +54,6 @@
 //!   --no-ckpt         disable the warm pool and on-disk checkpoint store
 //!                     (every experiment point pays its own warmup)
 //!   --ckpt-dir DIR    checkpoint store location (default results/cache/ckpt)
-//!   --batch           step sweep points as lockstep batches (the default;
-//!                     bit-identical to scalar stepping per point)
-//!   --no-batch        force the scalar per-point stepping path
-//!   --skip            fast-forward machines across pure-stall windows (the
-//!                     default; bit-identical to cycle-by-cycle stepping)
-//!   --no-skip         force cycle-by-cycle stepping everywhere
 //!   --capture-trace FILE  record the configured mixes' synthetic runs to
 //!                     SMTTRACE files (standalone: skips the experiments)
 //!   --trace FILE      replay a captured trace through the trace-backed
@@ -72,53 +66,13 @@
 //!   --mig-penalty N   cold-frontend cycles charged per migration
 //!                     (default 256)
 //!   --all             shorthand for the `all` experiment selector
-//!
-//! Perf-baseline mode (exclusive with experiments):
-//!   --bench               measure simulated cycles/second on the canonical
-//!                         2/4/8-thread mixes and write BENCH_sim.json
-//!   --quick               CI-sized timed regions
-//!   --bench-out PATH      report path (default BENCH_sim.json)
-//!   --check-baseline PATH compare against a previous report; exits 1 when a
-//!                         point regresses by more than 20% (override with
-//!                         SMT_BENCH_TOLERANCE, a fraction)
-//!
-//! Checkpoint-benchmark mode (exclusive with experiments and --bench):
-//!   --bench-sweep         time the threshold×type sweep cold vs warm vs
-//!                         checkpointed and write BENCH_sweep.json; the warm
-//!                         passes must reproduce the cold results bit for bit
-//!   --quick               CI-sized sweep
-//!   --bench-sweep-out PATH       report path (default BENCH_sweep.json)
-//!   --check-sweep-baseline PATH  gate against a previous report (exit 1 on
-//!                                lost speedup or any correctness failure)
-//!
-//! Batch-benchmark mode (exclusive with the other modes):
-//!   --bench-batch         time the sweep cells batched vs scalar from the
-//!                         same warm snapshot and write BENCH_batch.json; the
-//!                         batched pass must reproduce the scalar results bit
-//!                         for bit and run at least 3x faster
-//!   --quick               CI-sized runs
-//!   --bench-batch-out PATH       report path (default BENCH_batch.json)
-//!   --check-batch-baseline PATH  gate against a previous report (exit 1 on
-//!                                lost speedup or any correctness failure)
-//!
-//! Skip-benchmark mode (exclusive with the other modes):
-//!   --bench-skip          time the canonical points with event-horizon
-//!                         fast-forward off vs on and write BENCH_skip.json;
-//!                         the skipping pass must reproduce the stepped
-//!                         results bit for bit and clear an absolute speedup
-//!                         floor on the memory-bound gate point
-//!   --quick               CI-sized runs
-//!   --bench-skip-out PATH        report path (default BENCH_skip.json)
-//!   --check-skip-baseline PATH   gate against a previous report (exit 1 on
-//!                                lost speedup or any correctness failure)
 //! ```
 
 use smt_bench::{
     ablate_cond, ablate_dt, ablate_fetchmech, ablate_prefetch, ablate_quantum, ablate_rotation,
     ablate_threshold, alloc_sweep, headline, headline_random, jobsched, oracle, scaling, sweep,
-    table1, threshold_type_sweep, tracebench, AllocCli, BatchCli, CkptCli, ExpParams,
-    InstrumentCli, SkipCli, SpanCli, TraceCli, ALLOC_USAGE, BATCH_USAGE, CKPT_USAGE,
-    INSTRUMENT_USAGE, SKIP_USAGE, SPANS_USAGE, TRACE_USAGE,
+    table1, threshold_type_sweep, tracebench, AllocCli, CkptCli, ExpParams, InstrumentCli, SpanCli,
+    TraceCli, ALLOC_USAGE, CKPT_USAGE, INSTRUMENT_USAGE, SPANS_USAGE, TRACE_USAGE,
 };
 use smt_stats::Table;
 use std::path::PathBuf;
@@ -135,24 +89,9 @@ struct Cli {
     no_telemetry: bool,
     instrument: InstrumentCli,
     ckpt: CkptCli,
-    batch: BatchCli,
-    skip: SkipCli,
     trace: TraceCli,
     alloc: AllocCli,
     spans: SpanCli,
-    bench: bool,
-    quick: bool,
-    bench_out: PathBuf,
-    check_baseline: Option<PathBuf>,
-    bench_sweep: bool,
-    bench_sweep_out: PathBuf,
-    check_sweep_baseline: Option<PathBuf>,
-    bench_batch: bool,
-    bench_batch_out: PathBuf,
-    check_batch_baseline: Option<PathBuf>,
-    bench_skip: bool,
-    bench_skip_out: PathBuf,
-    check_skip_baseline: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Cli, String> {
@@ -166,24 +105,9 @@ fn parse_args() -> Result<Cli, String> {
     let mut no_telemetry = false;
     let mut instrument = InstrumentCli::default();
     let mut ckpt = CkptCli::default();
-    let mut batch = BatchCli::default();
-    let mut skip = SkipCli::default();
     let mut trace = TraceCli::default();
     let mut alloc = AllocCli::default();
     let mut spans = SpanCli::default();
-    let mut bench = false;
-    let mut quick = false;
-    let mut bench_out = PathBuf::from("BENCH_sim.json");
-    let mut check_baseline = None;
-    let mut bench_sweep = false;
-    let mut bench_sweep_out = PathBuf::from("BENCH_sweep.json");
-    let mut check_sweep_baseline = None;
-    let mut bench_batch = false;
-    let mut bench_batch_out = PathBuf::from("BENCH_batch.json");
-    let mut check_batch_baseline = None;
-    let mut bench_skip = false;
-    let mut bench_skip_out = PathBuf::from("BENCH_skip.json");
-    let mut check_skip_baseline = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -204,51 +128,9 @@ fn parse_args() -> Result<Cli, String> {
             "--no-telemetry" => no_telemetry = true,
             flag if instrument.accept(flag, &mut args)? => {}
             flag if ckpt.accept(flag, &mut args)? => {}
-            flag if batch.accept(flag, &mut args)? => {}
-            flag if skip.accept(flag, &mut args)? => {}
             flag if trace.accept(flag, &mut args)? => {}
             flag if alloc.accept(flag, &mut args)? => {}
             flag if spans.accept(flag, &mut args)? => {}
-            "--bench" => bench = true,
-            "--quick" => quick = true,
-            "--bench-out" => {
-                bench_out = PathBuf::from(args.next().ok_or("--bench-out needs a value")?);
-            }
-            "--check-baseline" => {
-                check_baseline = Some(PathBuf::from(
-                    args.next().ok_or("--check-baseline needs a value")?,
-                ));
-            }
-            "--bench-sweep" => bench_sweep = true,
-            "--bench-sweep-out" => {
-                bench_sweep_out =
-                    PathBuf::from(args.next().ok_or("--bench-sweep-out needs a value")?);
-            }
-            "--check-sweep-baseline" => {
-                check_sweep_baseline = Some(PathBuf::from(
-                    args.next().ok_or("--check-sweep-baseline needs a value")?,
-                ));
-            }
-            "--bench-batch" => bench_batch = true,
-            "--bench-batch-out" => {
-                bench_batch_out =
-                    PathBuf::from(args.next().ok_or("--bench-batch-out needs a value")?);
-            }
-            "--check-batch-baseline" => {
-                check_batch_baseline = Some(PathBuf::from(
-                    args.next().ok_or("--check-batch-baseline needs a value")?,
-                ));
-            }
-            "--bench-skip" => bench_skip = true,
-            "--bench-skip-out" => {
-                bench_skip_out =
-                    PathBuf::from(args.next().ok_or("--bench-skip-out needs a value")?);
-            }
-            "--check-skip-baseline" => {
-                check_skip_baseline = Some(PathBuf::from(
-                    args.next().ok_or("--check-skip-baseline needs a value")?,
-                ));
-            }
             "--all" => experiments.push("all".to_string()),
             "--seed" => {
                 params.seed = args
@@ -287,13 +169,7 @@ fn parse_args() -> Result<Cli, String> {
             other => return Err(format!("unknown option {other}")),
         }
     }
-    if experiments.is_empty()
-        && !bench
-        && !bench_sweep
-        && !bench_batch
-        && !bench_skip
-        && !trace.active()
-    {
+    if experiments.is_empty() && !trace.active() {
         experiments.push("help".to_string());
     }
     Ok(Cli {
@@ -307,209 +183,10 @@ fn parse_args() -> Result<Cli, String> {
         no_telemetry,
         instrument,
         ckpt,
-        batch,
-        skip,
         trace,
         alloc,
         spans,
-        bench,
-        quick,
-        bench_out,
-        check_baseline,
-        bench_sweep,
-        bench_sweep_out,
-        check_sweep_baseline,
-        bench_batch,
-        bench_batch_out,
-        check_batch_baseline,
-        bench_skip,
-        bench_skip_out,
-        check_skip_baseline,
     })
-}
-
-/// `--bench` mode: measure, write the report, optionally gate against a
-/// baseline. Returns the process exit code.
-fn run_bench_mode(cli: &Cli) -> i32 {
-    use smt_bench::perf;
-    let report = perf::run_bench(cli.quick);
-    match perf::write_report(&report, &cli.bench_out) {
-        Ok(()) => println!("[bench] wrote {}", cli.bench_out.display()),
-        Err(e) => {
-            eprintln!("error: cannot write {}: {e}", cli.bench_out.display());
-            return 1;
-        }
-    }
-    let Some(baseline_path) = &cli.check_baseline else {
-        return 0;
-    };
-    let baseline = match perf::read_report(baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: cannot read baseline: {e}");
-            return 1;
-        }
-    };
-    let tolerance = std::env::var("SMT_BENCH_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(perf::DEFAULT_TOLERANCE);
-    let regressions = perf::regressions(&report, &baseline, tolerance);
-    if regressions.is_empty() {
-        println!(
-            "[bench] no regression vs {} (tolerance {:.0}%)",
-            baseline_path.display(),
-            tolerance * 100.0
-        );
-        0
-    } else {
-        eprintln!("[bench] PERF REGRESSION vs {}:", baseline_path.display());
-        for r in &regressions {
-            eprintln!("  {r}");
-        }
-        1
-    }
-}
-
-/// `--bench-sweep` mode: time the threshold×type sweep cold vs warm vs
-/// checkpointed, write the report, optionally gate against a baseline.
-/// Returns the process exit code.
-fn run_bench_sweep_mode(cli: &Cli) -> i32 {
-    use smt_bench::perf;
-    let report = perf::run_sweep_bench(cli.quick);
-    match perf::write_sweep_report(&report, &cli.bench_sweep_out) {
-        Ok(()) => println!("[bench-sweep] wrote {}", cli.bench_sweep_out.display()),
-        Err(e) => {
-            eprintln!("error: cannot write {}: {e}", cli.bench_sweep_out.display());
-            return 1;
-        }
-    }
-    let Some(baseline_path) = &cli.check_sweep_baseline else {
-        return 0;
-    };
-    let baseline = match perf::read_sweep_report(baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: cannot read baseline: {e}");
-            return 1;
-        }
-    };
-    let tolerance = std::env::var("SMT_BENCH_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(perf::DEFAULT_TOLERANCE);
-    let failures = perf::sweep_regressions(&report, &baseline, tolerance);
-    if failures.is_empty() {
-        println!(
-            "[bench-sweep] {:.2}x cold→warm, bit-identical, vs {} (tolerance {:.0}%)",
-            report.speedup,
-            baseline_path.display(),
-            tolerance * 100.0
-        );
-        0
-    } else {
-        eprintln!("[bench-sweep] REGRESSION vs {}:", baseline_path.display());
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        1
-    }
-}
-
-/// `--bench-batch` mode: time the sweep cells batched vs scalar, write
-/// the report, optionally gate against a baseline. Returns the process
-/// exit code.
-fn run_bench_batch_mode(cli: &Cli) -> i32 {
-    use smt_bench::perf;
-    let report = perf::run_batch_bench(cli.quick);
-    match perf::write_batch_report(&report, &cli.bench_batch_out) {
-        Ok(()) => println!("[bench-batch] wrote {}", cli.bench_batch_out.display()),
-        Err(e) => {
-            eprintln!("error: cannot write {}: {e}", cli.bench_batch_out.display());
-            return 1;
-        }
-    }
-    let Some(baseline_path) = &cli.check_batch_baseline else {
-        return 0;
-    };
-    let baseline = match perf::read_batch_report(baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: cannot read baseline: {e}");
-            return 1;
-        }
-    };
-    let tolerance = std::env::var("SMT_BENCH_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(perf::DEFAULT_TOLERANCE);
-    let failures = perf::batch_regressions(&report, &baseline, tolerance);
-    if failures.is_empty() {
-        println!(
-            "[bench-batch] {:.2}x batched, bit-identical, vs {} (tolerance {:.0}%)",
-            report.speedup,
-            baseline_path.display(),
-            tolerance * 100.0
-        );
-        0
-    } else {
-        eprintln!("[bench-batch] REGRESSION vs {}:", baseline_path.display());
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        1
-    }
-}
-
-/// `--bench-skip` mode: time the canonical points with fast-forward off
-/// vs on, write the report, optionally gate against a baseline. Returns
-/// the process exit code.
-fn run_bench_skip_mode(cli: &Cli) -> i32 {
-    use smt_bench::perf;
-    let report = perf::run_skip_bench(cli.quick);
-    match perf::write_skip_report(&report, &cli.bench_skip_out) {
-        Ok(()) => println!("[bench-skip] wrote {}", cli.bench_skip_out.display()),
-        Err(e) => {
-            eprintln!("error: cannot write {}: {e}", cli.bench_skip_out.display());
-            return 1;
-        }
-    }
-    let Some(baseline_path) = &cli.check_skip_baseline else {
-        return 0;
-    };
-    let baseline = match perf::read_skip_report(baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: cannot read baseline: {e}");
-            return 1;
-        }
-    };
-    let tolerance = std::env::var("SMT_BENCH_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(perf::DEFAULT_TOLERANCE);
-    let failures = perf::skip_regressions(&report, &baseline, tolerance);
-    if failures.is_empty() {
-        let gate = report
-            .points
-            .iter()
-            .find(|p| p.label == perf::SKIP_GATE_LABEL)
-            .map(|p| p.speedup)
-            .unwrap_or(0.0);
-        println!(
-            "[bench-skip] {gate:.2}x on {}, bit-identical, vs {} (tolerance {:.0}%)",
-            perf::SKIP_GATE_LABEL,
-            baseline_path.display(),
-            tolerance * 100.0
-        );
-        0
-    } else {
-        eprintln!("[bench-skip] REGRESSION vs {}:", baseline_path.display());
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        1
-    }
 }
 
 fn emit(table: &Table, slug: &str, out: &Option<PathBuf>) {
@@ -535,45 +212,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // The skip default is read at machine construction, so it must be
-    // pushed before any mode builds a machine (the skip bench itself
-    // toggles skipping per machine and is unaffected).
-    cli.skip.apply();
-    if cli.bench || cli.bench_sweep || cli.bench_batch || cli.bench_skip {
-        if !cli.experiments.is_empty() {
-            eprintln!(
-                "error: --bench/--bench-sweep/--bench-batch/--bench-skip are exclusive \
-                 with experiment selectors"
-            );
-            std::process::exit(2);
-        }
-        if [cli.bench, cli.bench_sweep, cli.bench_batch, cli.bench_skip]
-            .iter()
-            .filter(|&&b| b)
-            .count()
-            > 1
-        {
-            eprintln!("error: pick one of --bench, --bench-sweep, --bench-batch and --bench-skip");
-            std::process::exit(2);
-        }
-        if cli.bench_skip {
-            std::process::exit(run_bench_skip_mode(&cli));
-        }
-        if cli.bench_sweep || cli.bench_batch {
-            // One worker and no result cache: the wall-clock ratios must
-            // measure simulation, not cache hits or scheduling.
-            sweep::configure(sweep::SweepConfig {
-                jobs: Some(cli.jobs.unwrap_or(1)),
-                cache_dir: None,
-                telemetry_path: None,
-            });
-            if cli.bench_sweep {
-                std::process::exit(run_bench_sweep_mode(&cli));
-            }
-            std::process::exit(run_bench_batch_mode(&cli));
-        }
-        std::process::exit(run_bench_mode(&cli));
-    }
     let p = &cli.params;
     let known = [
         "table1",
@@ -607,18 +245,9 @@ fn main() {
         println!("             [--cache-dir DIR] [--no-telemetry] <experiment>...");
         println!("             {INSTRUMENT_USAGE}");
         println!("             {CKPT_USAGE}");
-        println!("             {BATCH_USAGE}");
-        println!("             {SKIP_USAGE}");
         println!("             {TRACE_USAGE}");
         println!("             {ALLOC_USAGE}");
         println!("             {SPANS_USAGE}");
-        println!("       repro --bench [--quick] [--bench-out PATH] [--check-baseline PATH]");
-        println!("       repro --bench-sweep [--quick] [--bench-sweep-out PATH]");
-        println!("                           [--check-sweep-baseline PATH]");
-        println!("       repro --bench-batch [--quick] [--bench-batch-out PATH]");
-        println!("                           [--check-batch-baseline PATH]");
-        println!("       repro --bench-skip [--quick] [--bench-skip-out PATH]");
-        println!("                          [--check-skip-baseline PATH]");
         println!("experiments: {}", known[..known.len() - 1].join(" "));
         return;
     }
@@ -633,7 +262,6 @@ fn main() {
         }),
     });
     cli.ckpt.apply();
-    cli.batch.apply();
     cli.spans.apply();
     let t0 = Instant::now();
     match tracebench::run_cli(&cli.trace, p, &cli.instrument.attr) {

@@ -28,16 +28,9 @@ pub const INSTRUMENT_USAGE: &str =
 /// Usage fragment for the checkpoint flags shared by every binary.
 pub const CKPT_USAGE: &str = "[--no-ckpt] [--ckpt-dir DIR]";
 
-/// Usage fragment for the batched-sweep flags shared by every binary.
-pub const BATCH_USAGE: &str = "[--batch] [--no-batch]";
-
 /// Usage fragment for the trace capture/replay flags shared by every
 /// binary.
 pub const TRACE_USAGE: &str = "[--capture-trace FILE] [--trace FILE]";
-
-/// Usage fragment for the event-horizon fast-forward flags shared by
-/// every binary.
-pub const SKIP_USAGE: &str = "[--skip] [--no-skip]";
 
 /// Usage fragment for the multi-core allocation flags shared by every
 /// binary.
@@ -233,82 +226,6 @@ impl TraceCli {
     /// Was a trace pass requested at all?
     pub fn active(&self) -> bool {
         self.capture.is_some() || self.replay.is_some()
-    }
-}
-
-/// The batched-sweep flags (`--batch`/`--no-batch`) shared by every
-/// experiment binary. Batched lockstep stepping is on by default — it is
-/// bit-identical to scalar stepping per point — and `--no-batch` is the
-/// escape hatch that forces the scalar path; `apply` pushes the setting
-/// into [`crate::sweep`].
-#[derive(Clone, Debug)]
-pub struct BatchCli {
-    pub enabled: bool,
-}
-
-impl Default for BatchCli {
-    fn default() -> Self {
-        BatchCli { enabled: true }
-    }
-}
-
-impl BatchCli {
-    /// Same contract as [`InstrumentCli::accept`].
-    pub fn accept(
-        &mut self,
-        arg: &str,
-        _args: &mut impl Iterator<Item = String>,
-    ) -> Result<bool, String> {
-        match arg {
-            "--batch" => self.enabled = true,
-            "--no-batch" => self.enabled = false,
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// Push the parsed setting into the process-wide sweep configuration.
-    pub fn apply(&self) {
-        crate::sweep::set_batch_enabled(self.enabled);
-    }
-}
-
-/// The event-horizon fast-forward flags (`--skip`/`--no-skip`) shared by
-/// every experiment binary. Cycle skipping is on by default — it is
-/// bit-identical to cycle-by-cycle stepping (pinned by the skip
-/// differential suite and every golden fixture) — and `--no-skip` is the
-/// escape hatch that forces pure stepping; `apply` pushes the setting
-/// into the process-wide default every new [`smt_sim::SmtMachine`]
-/// adopts.
-#[derive(Clone, Debug)]
-pub struct SkipCli {
-    pub enabled: bool,
-}
-
-impl Default for SkipCli {
-    fn default() -> Self {
-        SkipCli { enabled: true }
-    }
-}
-
-impl SkipCli {
-    /// Same contract as [`InstrumentCli::accept`].
-    pub fn accept(
-        &mut self,
-        arg: &str,
-        _args: &mut impl Iterator<Item = String>,
-    ) -> Result<bool, String> {
-        match arg {
-            "--skip" => self.enabled = true,
-            "--no-skip" => self.enabled = false,
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// Push the parsed setting into the process-wide machine default.
-    pub fn apply(&self) {
-        smt_sim::set_skip_default(self.enabled);
     }
 }
 
@@ -511,46 +428,6 @@ mod tests {
         assert_eq!(cli.dir, PathBuf::from("elsewhere"));
         assert!(parse_ckpt(&["--ckpt-dir"]).is_err());
         assert!(parse_ckpt(&["--frobnicate"]).is_err());
-    }
-
-    fn parse_batch(tokens: &[&str]) -> Result<BatchCli, String> {
-        let mut cli = BatchCli::default();
-        let mut args = tokens.iter().map(|s| s.to_string());
-        while let Some(a) = args.next() {
-            if !cli.accept(&a, &mut args)? {
-                return Err(format!("unknown option {a}"));
-            }
-        }
-        Ok(cli)
-    }
-
-    #[test]
-    fn batch_defaults_on_with_escape_hatch() {
-        assert!(parse_batch(&[]).unwrap().enabled);
-        assert!(!parse_batch(&["--no-batch"]).unwrap().enabled);
-        // Last flag wins, so `--no-batch --batch` re-enables.
-        assert!(parse_batch(&["--no-batch", "--batch"]).unwrap().enabled);
-        assert!(parse_batch(&["--frobnicate"]).is_err());
-    }
-
-    fn parse_skip(tokens: &[&str]) -> Result<SkipCli, String> {
-        let mut cli = SkipCli::default();
-        let mut args = tokens.iter().map(|s| s.to_string());
-        while let Some(a) = args.next() {
-            if !cli.accept(&a, &mut args)? {
-                return Err(format!("unknown option {a}"));
-            }
-        }
-        Ok(cli)
-    }
-
-    #[test]
-    fn skip_defaults_on_with_escape_hatch() {
-        assert!(parse_skip(&[]).unwrap().enabled);
-        assert!(!parse_skip(&["--no-skip"]).unwrap().enabled);
-        // Last flag wins, so `--no-skip --skip` re-enables.
-        assert!(parse_skip(&["--no-skip", "--skip"]).unwrap().enabled);
-        assert!(parse_skip(&["--frobnicate"]).is_err());
     }
 
     fn parse_trace(tokens: &[&str]) -> Result<TraceCli, String> {

@@ -174,20 +174,17 @@ pub struct ThresholdTypeSweep {
 /// Run the sweep (the expensive part; everything in Fig 7/Fig 8 and the
 /// headline is a view over this).
 ///
-/// By default the sweep steps as *lockstep batches*: all 26 points of a
-/// mix (fixed ICOUNT + 5 thresholds × 5 heuristics) share one machine
-/// until their policy decisions diverge (`smt_sim::batch`). The batched
-/// and scalar paths are bit-identical per point and share cache keys;
-/// `--no-batch` ([`sweep::set_batch_enabled`]) selects the scalar path.
+/// The sweep steps as *lockstep batches*: all 26 points of a mix (fixed
+/// ICOUNT + 5 thresholds × 5 heuristics) share one machine until their
+/// policy decisions diverge (`smt_sim::batch`).
 pub fn threshold_type_sweep(p: &ExpParams) -> ThresholdTypeSweep {
-    threshold_type_sweep_with(p, sweep::batch_enabled())
+    threshold_type_sweep_with(p, true)
 }
 
-/// [`threshold_type_sweep`] with the stepping mode chosen explicitly
-/// instead of via the process-wide flag — the perf harness times the two
-/// paths against each other, and the checkpoint benchmark must pin the
-/// scalar path (batching collapses the per-point warmups whose
-/// elimination it measures).
+/// [`threshold_type_sweep`] with the stepping mode chosen explicitly.
+/// `batched = false` simulates every point on its own warmed machine:
+/// the scalar reference the batch tests compare against, bit-identical
+/// per point and sharing its cache keys.
 pub fn threshold_type_sweep_with(p: &ExpParams, batched: bool) -> ThresholdTypeSweep {
     let thresholds: Vec<f64> = vec![1.0, 2.0, 3.0, 4.0, 5.0];
     let kinds = HeuristicKind::ALL.to_vec();
@@ -282,9 +279,9 @@ pub(crate) fn run_mix_batch(
 
 /// The lockstep implementation behind [`threshold_type_sweep`].
 ///
-/// Cache keys are exactly the scalar path's, so warm caches interoperate
-/// across `--batch`/`--no-batch`; the per-mix batch runs lazily on the
-/// first cache miss of that mix and is shared by all its missing points.
+/// Cache keys are exactly the scalar path's; the per-mix batch runs
+/// lazily on the first cache miss of that mix and is shared by all its
+/// missing points.
 fn threshold_type_sweep_batched(
     thresholds: Vec<f64>,
     kinds: Vec<HeuristicKind>,
@@ -1113,13 +1110,11 @@ pub struct AllocSweep {
 }
 
 /// Run the allocation sweep. Like [`threshold_type_sweep`] it steps as
-/// lockstep batches by default: all fetch × allocation points of one mix
-/// share one warmed [`smt_sim::MultiCoreMachine`] (from the warm pool's
-/// multi-core layer) until their placements diverge; `--no-batch`
-/// selects the scalar per-point path, bit-identical and sharing cache
-/// keys.
+/// lockstep batches: all fetch × allocation points of one mix share one
+/// warmed [`smt_sim::MultiCoreMachine`] (from the warm pool's multi-core
+/// layer) until their placements diverge.
 pub fn alloc_sweep(p: &ExpParams, cores: usize, allocs: &[AllocKind], penalty: u64) -> AllocSweep {
-    alloc_sweep_with(p, cores, allocs, penalty, sweep::batch_enabled())
+    alloc_sweep_with(p, cores, allocs, penalty, true)
 }
 
 /// Cache key of one allocation point; shared by both stepping modes.
@@ -1174,8 +1169,10 @@ fn run_alloc_mix_batch(
         .collect()
 }
 
-/// [`alloc_sweep`] with the stepping mode chosen explicitly (the unit
-/// tests pin both paths against each other).
+/// [`alloc_sweep`] with the stepping mode chosen explicitly.
+/// `batched = false` runs every point on its own warmed machine: the
+/// scalar reference the batch tests compare against, bit-identical per
+/// point and sharing its cache keys.
 pub fn alloc_sweep_with(
     p: &ExpParams,
     cores: usize,
@@ -1371,10 +1368,9 @@ mod tests {
             ..smoke()
         };
         // No persistent cache in unit tests, so both calls simulate. The
-        // mode is passed explicitly so concurrent tests flipping the
-        // process-wide flag cannot perturb which path each call takes.
+        // public entry point batches; the scalar reference is explicit.
         let scalar = threshold_type_sweep_with(&p, false);
-        let batched = threshold_type_sweep_with(&p, true);
+        let batched = threshold_type_sweep(&p);
         assert_eq!(batched.icount, scalar.icount, "fixed baseline diverged");
         for ti in 0..scalar.thresholds.len() {
             for ki in 0..scalar.kinds.len() {
@@ -1389,6 +1385,14 @@ mod tests {
                 }
             }
         }
+        // The identity above is not vacuous: the batch really shares
+        // machines among its cells.
+        let (_, stats) = run_mix_batch(&p.mixes()[0], &batched.thresholds, &batched.kinds, &p);
+        assert_eq!(stats.cell_quanta, 26 * p.quanta);
+        assert!(
+            stats.machine_quanta < stats.cell_quanta,
+            "no machine sharing happened: {stats:?}"
+        );
     }
 
     #[test]

@@ -36,27 +36,8 @@ pub use telemetry::{
 use serde::{Deserialize, Serialize};
 use smt_stats::RunSeries;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-
-/// Process-wide switch for the batched lockstep sweep path (the
-/// `--no-batch` escape hatch flips it off). Batched and scalar stepping
-/// are bit-identical per cell — pinned by `tests/golden_batch.rs` and
-/// the differential suites — so this only selects *how* a point is
-/// simulated, never *what* it produces; cache keys are shared between
-/// the two paths for the same reason.
-static BATCH_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enable/disable the batched sweep path (default: enabled).
-pub fn set_batch_enabled(on: bool) {
-    BATCH_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Is the batched sweep path active?
-pub fn batch_enabled() -> bool {
-    BATCH_ENABLED.load(Ordering::Relaxed)
-}
 
 /// What to turn on when building a [`SweepEngine`].
 #[derive(Clone, Debug, Default)]

@@ -17,18 +17,22 @@ const BINS: &[(&str, &str)] = &[
     ("characterize", env!("CARGO_BIN_EXE_characterize")),
 ];
 
-/// (family, malformed argv) — one representative per shared CLI group.
+/// (family, malformed argv) — one representative per shared CLI group,
+/// plus the flags of removed families.
 const CASES: &[(&str, &[&str])] = &[
     ("instrument", &["--obs-events", "many"]),
     ("instrument", &["--obs-out"]),
     ("ckpt", &["--ckpt-dir"]),
-    ("batch", &["--batch=always"]),
-    ("skip", &["--no-skip=never"]),
     ("trace", &["--trace"]),
     ("alloc", &["--cores", "zero"]),
     ("alloc", &["--alloc", "bogus-policy"]),
     ("spans", &["--spans-out"]),
     ("unknown", &["--frobnicate"]),
+    // Options that no longer exist must be refused, not ignored.
+    ("removed", &["--no-batch"]),
+    ("removed", &["--no-skip"]),
+    ("removed", &["--bench"]),
+    ("removed", &["--quick"]),
 ];
 
 #[test]

@@ -1,14 +1,24 @@
 //! Integration tests of the sweep engine against real simulations: worker
 //! counts must not change results, panics must stay confined to their
-//! point, a warm cache must replay bit-identically, and telemetry must be
+//! point, a warm cache must replay bit-identically, warm and
+//! checkpoint-restored sweeps must equal cold ones, and telemetry must be
 //! valid JSONL.
 
 use smt_bench::sweep::{point_key, run_isolated, SweepConfig, SweepEngine, TelemetryRecord};
-use smt_bench::{fixed_series, ExpParams};
+use smt_bench::{fixed_series, threshold_type_sweep_with, warm, ExpParams, ThresholdTypeSweep};
 use smt_policies::FetchPolicy;
 use smt_stats::RunSeries;
 use smt_workloads::mix;
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
+
+/// Held by every test that goes through the process-wide warm pool, so
+/// one test's pool resets and counters never interleave with another's.
+static WARM_POOL: Mutex<()> = Mutex::new(());
+
+fn lock_warm_pool() -> MutexGuard<'static, ()> {
+    WARM_POOL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn tiny_params() -> ExpParams {
     ExpParams {
@@ -31,6 +41,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 /// serialized `RunSeries` in the same order.
 #[test]
 fn worker_count_does_not_change_serialized_results() {
+    let _pool = lock_warm_pool();
     let p = tiny_params();
     let points: Vec<(usize, FetchPolicy)> = vec![
         (1, FetchPolicy::Icount),
@@ -67,6 +78,7 @@ fn worker_count_does_not_change_serialized_results() {
 /// and arrive in order.
 #[test]
 fn poisoned_simulation_point_fails_alone() {
+    let _pool = lock_warm_pool();
     let p = tiny_params();
     let points = vec![1usize, 9, 13];
     let results = run_isolated(&points, 2, |&mi| {
@@ -125,6 +137,77 @@ fn warm_cache_replays_real_run_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every cell of a sweep, as exact bits: the fixed-ICOUNT baselines,
+/// then (IPC, switches, judged, benign) per adaptive cell.
+fn sweep_bits(sw: &ThresholdTypeSweep) -> Vec<(u64, usize, usize, usize)> {
+    let baselines = sw.icount.iter().map(|ipc| (ipc.to_bits(), 0, 0, 0));
+    let cells = sw
+        .cells
+        .iter()
+        .flatten()
+        .flatten()
+        .map(|c| (c.ipc.to_bits(), c.switches, c.judged, c.benign));
+    baselines.chain(cells).collect()
+}
+
+/// The threshold×type sweep gives the same bits cold (pool off), warm
+/// (empty pool, writing checkpoints) and checkpoint-restored (empty pool
+/// reading them back, as a fresh process would). The warm pass warms
+/// each mix exactly once and the restored pass reads every mix from the
+/// store. It runs the scalar reference path, which asks the pool once
+/// per point, so the pool really serves the other 25 points of a mix.
+#[test]
+fn sweep_is_bit_identical_cold_warm_and_checkpoint_restored() {
+    let _pool = lock_warm_pool();
+    let dir = tmp_dir("ckpt");
+    let p = ExpParams {
+        seed: 42,
+        warmup_quanta: 4,
+        quanta: 2,
+        quantum_cycles: 2048,
+        mix_ids: vec![1, 9],
+    };
+    let mixes = p.mix_ids.len() as u64;
+
+    warm::set_enabled(false);
+    warm::configure_store(None);
+    let cold = sweep_bits(&threshold_type_sweep_with(&p, false));
+
+    warm::set_enabled(true);
+    warm::reset_pool();
+    warm::configure_store(Some(dir.clone()));
+    let warmed = sweep_bits(&threshold_type_sweep_with(&p, false));
+    let warm_stats = warm::stats();
+
+    warm::reset_pool();
+    let restored = sweep_bits(&threshold_type_sweep_with(&p, false));
+    let restore_stats = warm::stats();
+
+    warm::configure_store(None);
+    warm::reset_pool();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!(cold.len(), 26 * p.mix_ids.len());
+    assert_eq!(warmed, cold, "warm-pool sweep diverged from the cold one");
+    assert_eq!(restored, cold, "checkpoint-restored sweep diverged");
+    assert_eq!(
+        warm_stats.warmups, mixes,
+        "one warmup per mix: {warm_stats:?}"
+    );
+    assert!(
+        warm_stats.pool_hits > 0,
+        "pool served nothing: {warm_stats:?}"
+    );
+    assert_eq!(
+        restore_stats.warmups, 0,
+        "restored pass re-warmed: {restore_stats:?}"
+    );
+    assert_eq!(
+        restore_stats.ckpt_hits, mixes,
+        "restored pass missed the store: {restore_stats:?}"
+    );
+}
+
 /// Every run appends one parseable telemetry record whose aggregates match
 /// the series it describes.
 #[test]
@@ -167,6 +250,7 @@ fn telemetry_lines_are_valid_and_match_the_run() {
 /// edge cases the old `par_map` handled, now with panic isolation on).
 #[test]
 fn empty_and_single_item_sweeps_work() {
+    let _pool = lock_warm_pool();
     let none: Vec<u32> = Vec::new();
     assert!(run_isolated(&none, 4, |&x| x).is_empty());
     let p = tiny_params();

@@ -54,7 +54,7 @@ pub use chooser::{FetchChooser, FnChooser, RoundRobin};
 pub use config::{CacheGeometry, SimConfig};
 pub use counters::{CounterSnapshot, PolicyView, ThreadCounters};
 pub use iqueue::IndexedQueue;
-pub use machine::{set_skip_default, skip_default, GlobalCounters, MigratedThread, SmtMachine};
+pub use machine::{GlobalCounters, MigratedThread, SmtMachine};
 pub use multicore::{MultiCoreMachine, MultiCoreSnapshot, MC_FORMAT_VERSION};
 pub use obs::{
     merge_attr_snapshots, AttrSnapshot, CommitCause, EventRing, FetchCause, IssueCause,

@@ -38,26 +38,6 @@ use smt_isa::{BranchKind, OpKind, RegClass, Tid};
 use smt_workloads::{SplitMix64, UopStream};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide default for event-horizon cycle skipping on machines built
-/// after the call ([`SmtMachine::new`] and snapshot decode both read it).
-/// The CLI layer's `--no-skip` escape hatch lowers it before any machine
-/// is constructed; already-built machines are controlled individually via
-/// [`SmtMachine::set_skip_enabled`].
-static SKIP_DEFAULT: AtomicBool = AtomicBool::new(true);
-
-/// Set the process-wide default for event-horizon cycle skipping
-/// (see [`SmtMachine::set_skip_enabled`]). Affects machines constructed
-/// *after* the call.
-pub fn set_skip_default(enabled: bool) {
-    SKIP_DEFAULT.store(enabled, Ordering::Relaxed);
-}
-
-/// Current process-wide default for event-horizon cycle skipping.
-pub fn skip_default() -> bool {
-    SKIP_DEFAULT.load(Ordering::Relaxed)
-}
 
 /// Machine-wide statistics the detector thread (and experiment harness)
 /// reads in addition to the per-thread counters.
@@ -435,8 +415,8 @@ pub struct SmtMachine {
     /// Event-horizon fast-forward switch: when set, [`SmtMachine::run`]
     /// skips pure-stall cycles to the next cycle any architectural state
     /// can change ([`SmtMachine::stall_horizon`]). Host-side acceleration
-    /// state like `l2_rot`/`wake`: never serialized, reset on decode (to
-    /// [`skip_default`]), and guaranteed not to change what is simulated —
+    /// state like `l2_rot`/`wake`: never serialized, on after construction
+    /// and decode, and guaranteed not to change what is simulated —
     /// pinned by the golden suites and `tests/proptest_skip.rs`.
     skip_enabled: bool,
     /// Cycles advanced by [`SmtMachine::skip_cycles`] windows instead of
@@ -516,7 +496,7 @@ impl SmtMachine {
             l2_rot: 0,
             dispatch_fifo: IndexedQueue::new(cfg.threads, 64),
             wake: WakeArena::default(),
-            skip_enabled: skip_default(),
+            skip_enabled: true,
             skipped_cycles: 0,
             step_work: 0,
             due_buf: Vec::new(),
@@ -624,7 +604,7 @@ impl SmtMachine {
             attr: None,
             l2_rot: 0,
             wake: WakeArena::default(),
-            skip_enabled: skip_default(),
+            skip_enabled: true,
             skipped_cycles: 0,
             step_work: 0,
             due_buf: Vec::new(),
@@ -763,10 +743,11 @@ impl SmtMachine {
         self.skip_enabled
     }
 
-    /// Turn event-horizon cycle skipping on or off. Skipping is a pure
-    /// host-side acceleration: both settings simulate bit-identically
-    /// (golden suites, `tests/proptest_skip.rs`); off only forces
-    /// [`SmtMachine::run`] back to cycle-by-cycle stepping.
+    /// Turn event-horizon cycle skipping on (the default) or off. Skipping
+    /// is a pure host-side acceleration: both settings simulate
+    /// bit-identically; off forces [`SmtMachine::run`] back to
+    /// cycle-by-cycle stepping, the reference `tests/proptest_skip.rs`
+    /// compares skipping against.
     pub fn set_skip_enabled(&mut self, enabled: bool) {
         self.skip_enabled = enabled;
     }

@@ -28,9 +28,8 @@
 //! not simulated state. Serializing any of it would make snapshot bytes
 //! depend on *how* a machine reached a cycle (skipped vs stepped),
 //! destroying the byte-identity contract above; instead a decoded
-//! machine re-adopts the process-wide skip default and restarts its
-//! odometer at zero, exactly like the transient wake arena and `l2_rot`
-//! stamp.
+//! machine starts with skipping on and its odometer at zero, exactly
+//! like the transient wake arena and `l2_rot` stamp.
 //!
 //! Container layout (little-endian):
 //!

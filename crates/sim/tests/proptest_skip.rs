@@ -12,23 +12,52 @@
 //! attribution snapshots at every comparison point.
 //!
 //! A final deterministic test guards against the vacuous-pass failure
-//! mode: on a memory-bound mix the skip engine must actually engage
-//! (fast-forward a nontrivial share of the run), so the equalities
-//! above are comparing a genuinely skipped timeline.
+//! mode: on stall-heavy inputs (a long-latency memory and a replayed
+//! trace among them) the skip engine must actually engage (fast-forward
+//! a nontrivial share of the run), so the equalities above are
+//! comparing a genuinely skipped timeline.
 
 use proptest::prelude::*;
+use smt_isa::tracefile::TraceFile;
 use smt_isa::Tid;
 use smt_sim::snapshot::MachineSnapshot;
 use smt_sim::{MultiCoreMachine, MultiCoreSnapshot, RoundRobin, SimConfig, SmtMachine};
-use smt_workloads::mix;
+use smt_workloads::{mix, streams_from_trace};
 
-fn machine_pair(mix_id: usize, threads: usize, seed: u64) -> (SmtMachine, SmtMachine) {
+/// Main-memory latency of the long-latency inputs (the default is 80):
+/// stall windows stretch to the miss latency and dominate the run.
+const LONG_MEM_LATENCY: u64 = 600;
+
+fn machine_pair(
+    mix_id: usize,
+    threads: usize,
+    seed: u64,
+    mem_latency: u64,
+) -> (SmtMachine, SmtMachine) {
     let m = mix(mix_id).take_threads(threads, 1);
-    let mut fast = SmtMachine::new(SimConfig::with_threads(threads), m.streams(seed));
+    let mut cfg = SimConfig::with_threads(threads);
+    cfg.mem_latency = mem_latency;
+    skip_pair(SmtMachine::new(cfg, m.streams(seed)))
+}
+
+/// `fast` with skipping on, and its clone pinned to single-stepping.
+fn skip_pair(mut fast: SmtMachine) -> (SmtMachine, SmtMachine) {
     fast.set_skip_enabled(true);
     let mut slow = fast.clone();
     slow.set_skip_enabled(false);
     (fast, slow)
+}
+
+/// A machine replaying the committed two-thread MIX01 capture.
+fn trace_machine() -> SmtMachine {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../traces/mix01_t2.smttrace"
+    );
+    let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+    let file = TraceFile::parse(bytes).expect("committed capture parses");
+    let streams = streams_from_trace(&file).expect("committed capture replays");
+    SmtMachine::new(SimConfig::with_threads(streams.len()), streams)
 }
 
 /// Byte-level equality of the two timelines' full serialized state.
@@ -45,17 +74,19 @@ fn assert_bit_identical(fast: &SmtMachine, slow: &SmtMachine) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Skip-on ≡ skip-off over random mixes, thread counts, and run
-    /// chunkings (chunk boundaries land mid-stall-window, so partial
-    /// skips to `end` are exercised too).
+    /// Skip-on ≡ skip-off over random mixes, thread counts, memory
+    /// latencies and run chunkings (chunk boundaries land
+    /// mid-stall-window, so partial skips to `end` are exercised too).
     #[test]
     fn skip_matches_stepping_on_random_mixes(
         mix_id in 1usize..14,
         threads in 1usize..6,
         seed in 0u64..1_000,
+        long_mem in any::<bool>(),
         chunks in prop::collection::vec(1u64..3_000, 1..6),
     ) {
-        let (mut fast, mut slow) = machine_pair(mix_id, threads, seed);
+        let mem_latency = if long_mem { LONG_MEM_LATENCY } else { SimConfig::default().mem_latency };
+        let (mut fast, mut slow) = machine_pair(mix_id, threads, seed, mem_latency);
         for c in chunks {
             fast.run(c, &mut RoundRobin);
             slow.run(c, &mut RoundRobin);
@@ -73,7 +104,7 @@ proptest! {
         seed in 0u64..1_000,
         events in prop::collection::vec((0u64..4, 0u8..4, 1u64..2_000, 0u64..300), 1..8),
     ) {
-        let (mut fast, mut slow) = machine_pair(13, 4, seed);
+        let (mut fast, mut slow) = machine_pair(13, 4, seed, SimConfig::default().mem_latency);
         let mut replaced = 0u64;
         for (t, kind, burst, penalty) in events {
             let tid = Tid(t as u8);
@@ -120,7 +151,8 @@ proptest! {
         seed in 0u64..500,
         chunks in prop::collection::vec(1u64..2_000, 1..4),
     ) {
-        let (mut fast, mut slow) = machine_pair(mix_id, threads, seed);
+        let (mut fast, mut slow) =
+            machine_pair(mix_id, threads, seed, SimConfig::default().mem_latency);
         fast.enable_attr();
         slow.enable_attr();
         for c in chunks {
@@ -181,20 +213,40 @@ proptest! {
     }
 }
 
-/// Anti-vacuity guard: on the memory-bound mix the engine must actually
+/// Anti-vacuity guard: on stall-heavy inputs the engine must actually
 /// fast-forward a meaningful share of the run — otherwise every
 /// differential test above passes trivially with the horizon never
-/// firing.
+/// firing. The inputs: MIX13 at 8 threads; one MIX13 thread on a
+/// long-latency memory, where stall windows dominate the run; and the
+/// committed MIX01 capture replayed, since skipping must be oblivious to
+/// the stream backend.
 #[test]
-fn skip_engages_on_memory_bound_mix() {
-    let (mut fast, mut slow) = machine_pair(13, 8, 42);
-    fast.run(100_000, &mut RoundRobin);
-    slow.run(100_000, &mut RoundRobin);
-    assert_bit_identical(&fast, &slow);
-    assert_eq!(slow.skipped_cycles(), 0, "skip-off machine must not skip");
-    assert!(
-        fast.skipped_cycles() > 10_000,
-        "skip engine barely engaged on MIX13: {} of 100000 cycles",
-        fast.skipped_cycles()
-    );
+fn skip_engages_on_stalling_inputs() {
+    let default_mem = SimConfig::default().mem_latency;
+    let long_mem = {
+        let m = mix(13).take_threads(1, 7);
+        let mut cfg = SimConfig::with_threads(1);
+        cfg.mem_latency = LONG_MEM_LATENCY;
+        SmtMachine::new(cfg, m.streams(42))
+    };
+    let cases: [(&str, (SmtMachine, SmtMachine), u64); 3] = [
+        ("MIX13_t8", machine_pair(13, 8, 42, default_mem), 10_000),
+        ("MIX13_t1_mem600", skip_pair(long_mem), 90_000),
+        ("MIX01x2_trace", skip_pair(trace_machine()), 2_000),
+    ];
+    for (label, (mut fast, mut slow), min_skipped) in cases {
+        fast.run(100_000, &mut RoundRobin);
+        slow.run(100_000, &mut RoundRobin);
+        assert_bit_identical(&fast, &slow);
+        assert_eq!(
+            slow.skipped_cycles(),
+            0,
+            "{label}: skip-off machine must not skip"
+        );
+        assert!(
+            fast.skipped_cycles() > min_skipped,
+            "{label}: skip engine barely engaged: {} of 100000 cycles",
+            fast.skipped_cycles()
+        );
+    }
 }

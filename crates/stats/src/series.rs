@@ -35,7 +35,7 @@ pub struct SwitchEvent {
     pub from: String,
     pub to: String,
     /// `Some(true)` if the following quantum's IPC improved (a *benign*
-    /// switch, the paper's quality criterion), `Some(false)` if it fell
+    /// switch, the paper's quality measure), `Some(false)` if it fell
     /// (*malignant*), `None` if the run ended before the outcome was known.
     pub benign: Option<bool>,
 }
