@@ -17,45 +17,46 @@ pub trait SeedableRng: Sized {
     fn seed_from_u64(seed: u64) -> Self;
 }
 
-/// Types samplable from the uniform "standard" distribution.
+/// Types samplable from the uniform "standard" distribution. Generic
+/// over the generator, so sampling inlines into the caller.
 pub trait Standard: Sized {
-    fn sample(next_u64: &mut dyn FnMut() -> u64) -> Self;
+    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self;
 }
 
 impl Standard for u64 {
-    fn sample(next_u64: &mut dyn FnMut() -> u64) -> Self {
-        next_u64()
+    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
+        rng.next_u64()
     }
 }
 
 impl Standard for u32 {
-    fn sample(next_u64: &mut dyn FnMut() -> u64) -> Self {
-        (next_u64() >> 32) as u32
+    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
+        (rng.next_u64() >> 32) as u32
     }
 }
 
 impl Standard for usize {
-    fn sample(next_u64: &mut dyn FnMut() -> u64) -> Self {
-        next_u64() as usize
+    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
+        rng.next_u64() as usize
     }
 }
 
 impl Standard for bool {
-    fn sample(next_u64: &mut dyn FnMut() -> u64) -> Self {
-        next_u64() >> 63 == 1
+    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
+        rng.next_u64() >> 63 == 1
     }
 }
 
 impl Standard for f64 {
     /// Uniform in `[0, 1)` from the 53 high bits (upstream's convention).
-    fn sample(next_u64: &mut dyn FnMut() -> u64) -> Self {
-        (next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
+        (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
 
 impl Standard for f32 {
-    fn sample(next_u64: &mut dyn FnMut() -> u64) -> Self {
-        (next_u64() >> 40) as f32 * (1.0 / (1u32 << 24) as f32)
+    fn sample<R: Rng + ?Sized>(rng: &mut R) -> Self {
+        (rng.next_u64() >> 40) as f32 * (1.0 / (1u32 << 24) as f32)
     }
 }
 
@@ -68,7 +69,7 @@ pub trait Rng {
     where
         Self: Sized,
     {
-        T::sample(&mut || self.next_u64())
+        T::sample(self)
     }
 }
 

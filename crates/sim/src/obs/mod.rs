@@ -4,7 +4,7 @@
 //! detector thread reads per-thread status indicators every quantum. This
 //! module is that visibility made first-class, in three layers:
 //!
-//! - [`ring`] — the fixed-capacity [`EventRing`] behind the machine's
+//! - [`ring`] — the bounded [`EventRing`] behind the machine's
 //!   typed pipeline-event trace ([`crate::trace`]); emission sits behind
 //!   the `const TRACE` monomorphization of `SmtMachine::step_impl`, so an
 //!   untraced run compiles every emit point out and stays bit-identical

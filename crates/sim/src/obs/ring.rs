@@ -1,9 +1,12 @@
-//! Fixed-capacity event ring.
+//! Bounded event ring.
 //!
-//! The storage behind [`crate::trace::TraceBuffer`], generic so tests and
-//! external tooling can ring-buffer their own event types with the same
-//! drop-oldest semantics. Pushing is O(1) amortized and never allocates
-//! once the ring has filled.
+//! The storage behind [`crate::trace::TraceBuffer`] and the ADTS and
+//! allocation decision audits. It is generic, so tests and external
+//! tooling can ring-buffer their own event types with the same
+//! drop-oldest semantics. Storage grows on demand up to the capacity, so
+//! a ring sized for a long run costs only what a short one records.
+//! Pushing is O(1) amortized and never allocates once the ring has
+//! filled.
 
 use std::collections::VecDeque;
 
@@ -18,21 +21,27 @@ pub struct EventRing<T> {
 }
 
 impl<T> EventRing<T> {
+    /// A ring retaining the newest `cap` values. It allocates nothing until
+    /// the first push, then grows geometrically, never past `cap` values.
+    ///
     /// Panics if `cap == 0` — a ring that can hold nothing silently drops
     /// everything, which is never what a tracing caller wants.
     pub fn new(cap: usize) -> Self {
         assert!(cap > 0, "zero-capacity trace");
         EventRing {
             cap,
-            ring: VecDeque::with_capacity(cap.min(4096)),
+            ring: VecDeque::new(),
             recorded: 0,
         }
     }
 
     #[inline]
     pub fn push(&mut self, ev: T) {
-        if self.ring.len() == self.cap {
+        let len = self.ring.len();
+        if len == self.cap {
             self.ring.pop_front();
+        } else if len == self.ring.capacity() {
+            self.ring.reserve_exact(len.max(4).min(self.cap - len));
         }
         self.ring.push_back(ev);
         self.recorded += 1;
@@ -68,6 +77,10 @@ mod tests {
 
     #[test]
     fn retains_newest_cap_values() {
+        let fresh = EventRing::<u64>::new(4096);
+        assert_eq!(fresh.ring.capacity(), 0, "storage before the first push");
+        assert_eq!(fresh.capacity(), 4096);
+
         let mut r = EventRing::new(3);
         for i in 0..7u64 {
             r.push(i);
@@ -78,6 +91,7 @@ mod tests {
         assert_eq!(r.dropped(), 4);
         let vals: Vec<u64> = r.iter().copied().collect();
         assert_eq!(vals, vec![4, 5, 6]);
+        assert!(r.ring.capacity() <= 3, "storage grew past the capacity");
     }
 
     #[test]

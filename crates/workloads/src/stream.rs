@@ -30,6 +30,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use smt_isa::codec::{self, ByteReader, ByteWriter, Codec, CodecError};
 use smt_isa::{AppProfile, ArchReg, BranchInfo, BranchKind, MemInfo, MicroOp, OpKind, RegClass};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// Number of distinct destination registers the generator cycles through per
@@ -48,6 +49,9 @@ const COLD_REGION_BYTES: u64 = 64 << 20;
 /// Maximum shadow call-stack depth tracked for return targets.
 const CALL_STACK_MAX: usize = 16;
 
+/// Trip counts the generator draws for loop-style branch sites.
+const LOOP_TRIPS: RangeInclusive<u8> = 4..=32;
+
 /// Per-site branch personality, derived deterministically from the stream
 /// seed and the site index, so it is stable across clones and replays.
 ///
@@ -55,14 +59,64 @@ const CALL_STACK_MAX: usize = 16;
 /// *loop* sites are taken `trip - 1` times then fall through once (a
 /// pc-indexed predictor gets `(trip-1)/trip` of them right); *biased*
 /// sites follow a dominant direction with probability `branch_bias`.
+///
+/// Packed into two bytes: a thread holds up to 16,384 sites, and every
+/// batch fork and warm-pool machine clones them. Checkpoints keep the
+/// wider unpacked form (see the [`Codec`] impl), so the packing changes
+/// no snapshot byte.
 #[derive(Clone, Copy, Debug)]
 struct BranchSite {
-    /// `Some(trip_count)` for loop-style sites.
-    loop_trip: Option<u16>,
-    /// Iteration position within the loop.
-    pos: u16,
-    /// For biased sites: dominant direction.
-    dominant_taken: bool,
+    /// Loop trip count in [`LOOP_TRIPS`], or 0 for a biased site.
+    trip: u8,
+    /// A loop site's iteration position (below `trip`), or a biased
+    /// site's dominant direction (1 = taken).
+    state: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<BranchSite>() == 2);
+
+impl Codec for BranchSite {
+    /// The unpacked form: `Option<u16>` loop trip, `u16` position and
+    /// `bool` dominant direction (always taken for loop sites).
+    fn encode(&self, w: &mut ByteWriter) {
+        if self.trip == 0 {
+            None::<u16>.encode(w);
+            w.u16(0);
+            w.bool(self.state == 1);
+        } else {
+            Some(u16::from(self.trip)).encode(w);
+            w.u16(u16::from(self.state));
+            w.bool(true);
+        }
+    }
+
+    /// Rejects every site the generator cannot produce, so a decoded
+    /// stream never divides by a zero trip or overflows a position.
+    fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
+        let trip: Option<u16> = Option::decode(r)?;
+        let pos = r.u16()?;
+        let dominant_taken = r.bool()?;
+        let site = match trip {
+            None if pos == 0 => Some(BranchSite {
+                trip: 0,
+                state: u8::from(dominant_taken),
+            }),
+            Some(t) if dominant_taken && pos < t => u8::try_from(t)
+                .ok()
+                .filter(|t| LOOP_TRIPS.contains(t))
+                .map(|trip| BranchSite {
+                    trip,
+                    state: pos as u8,
+                }),
+            _ => None,
+        };
+        site.ok_or_else(|| {
+            CodecError::Invalid(format!(
+                "branch site (trip {trip:?}, pos {pos}, dominant taken {dominant_taken}) \
+                 is not one the generator makes"
+            ))
+        })
+    }
 }
 
 /// Deterministic, cloneable infinite *statistical* micro-op stream for one
@@ -134,19 +188,14 @@ impl SynthStream {
             .map(|_| {
                 let r = site_seed.next_f64();
                 if r < profile.pattern_frac {
-                    // Trip counts 4..=32, skewed low like real inner loops.
-                    let trip =
-                        4 + (site_seed.next_u64() % 29).min(site_seed.next_u64() % 29) as u16;
-                    BranchSite {
-                        loop_trip: Some(trip),
-                        pos: 0,
-                        dominant_taken: true,
-                    }
+                    // Trip counts in LOOP_TRIPS, skewed low like real inner
+                    // loops.
+                    let trip = 4 + (site_seed.next_u64() % 29).min(site_seed.next_u64() % 29) as u8;
+                    BranchSite { trip, state: 0 }
                 } else {
                     BranchSite {
-                        loop_trip: None,
-                        pos: 0,
-                        dominant_taken: site_seed.next_u64() & 1 == 0,
+                        trip: 0,
+                        state: u8::from(site_seed.next_u64() & 1 == 0),
                     }
                 }
             })
@@ -324,16 +373,13 @@ impl SynthStream {
         }
         let idx = self.site_for(pc);
         let site = &mut self.sites[idx];
-        match site.loop_trip {
-            Some(trip) => {
-                // Taken trip-1 times, then the loop exit.
-                site.pos = (site.pos + 1) % trip;
-                site.pos != 0
-            }
-            None => {
-                let follow = self.rng.gen::<f64>() < self.profile.branch_bias;
-                site.dominant_taken == follow
-            }
+        if site.trip == 0 {
+            let follow = self.rng.gen::<f64>() < self.profile.branch_bias;
+            site.state == u8::from(follow)
+        } else {
+            // Taken trip-1 times, then the loop exit.
+            site.state = (site.state + 1) % site.trip;
+            site.state != 0
         }
     }
 
@@ -359,12 +405,7 @@ impl SynthStream {
         w.u64(self.addr_base);
         w.u64(self.pc);
         w.u64(self.code_size);
-        w.usize(self.sites.len());
-        for s in &self.sites {
-            s.loop_trip.encode(w);
-            w.u16(s.pos);
-            w.bool(s.dominant_taken);
-        }
+        self.sites.encode(w);
         self.call_stack.encode(w);
         self.hot_entries.encode(w);
         w.u8(self.next_dst_int);
@@ -391,15 +432,7 @@ impl SynthStream {
         let addr_base = r.u64()?;
         let pc = r.u64()?;
         let code_size = r.u64()?;
-        let n_sites = r.usize()?;
-        let mut sites = Vec::with_capacity(n_sites.min(16_384));
-        for _ in 0..n_sites {
-            sites.push(BranchSite {
-                loop_trip: Option::decode(r)?,
-                pos: r.u16()?,
-                dominant_taken: r.bool()?,
-            });
-        }
+        let sites: Vec<BranchSite> = Vec::decode(r)?;
         if sites.is_empty() {
             return Err(CodecError::Invalid("stream has no branch sites".into()));
         }
@@ -439,22 +472,34 @@ impl SynthStream {
             return op;
         }
         let (mem_p, br_p, ilp_s, predictability) = self.phase();
-        // Cheap Arc clone so profile reads don't hold a borrow of `self`
-        // across the mutating helper calls below.
-        let p = Arc::clone(&self.profile);
+        // Copy the profile fields out, so reading them holds no borrow of
+        // `self` across the mutating helper calls below.
+        let AppProfile {
+            branch_frac,
+            jump_frac,
+            load_frac,
+            store_frac,
+            fp_frac,
+            mul_frac,
+            div_frac,
+            syscall_per_muop,
+            src_indep_frac,
+            addr_indep_frac,
+            ..
+        } = *self.profile;
 
-        let branch_frac = (p.branch_frac * br_p).min(0.5);
+        let branch_frac = (branch_frac * br_p).min(0.5);
         let r: f64 = self.rng.gen();
-        let syscall_p = p.syscall_per_muop / 1.0e6;
+        let syscall_p = syscall_per_muop / 1.0e6;
 
         let pc = self.addr_base | self.pc;
         let mut next_pc = (self.pc + OP_BYTES) % self.code_size;
 
         // Local snapshot of per-branch probabilities to keep the cascade
         // readable. Order: syscall, cond-branch, jump, load, store, compute.
-        let jump_hi = syscall_p + branch_frac + p.jump_frac;
-        let load_hi = jump_hi + p.load_frac;
-        let store_hi = load_hi + p.store_frac;
+        let jump_hi = syscall_p + branch_frac + jump_frac;
+        let load_hi = jump_hi + load_frac;
+        let store_hi = load_hi + store_frac;
 
         let (kind, dst, src1, src2, mem, branch) = if r < syscall_p {
             (OpKind::Syscall, None, None, None, None, None)
@@ -467,7 +512,7 @@ impl SynthStream {
             let s1 = if self.rng.gen::<f64>() < 0.5 && self.last_load_dst.is_some() {
                 self.last_load_dst
             } else {
-                self.pick_src(ilp_s, p.src_indep_frac)
+                self.pick_src(ilp_s, src_indep_frac)
             };
             (
                 OpKind::Branch,
@@ -519,14 +564,14 @@ impl SynthStream {
             )
         } else if r < load_hi {
             let addr = self.gen_addr(mem_p);
-            let class = if self.rng.gen::<f64>() < p.fp_frac {
+            let class = if self.rng.gen::<f64>() < fp_frac {
                 RegClass::Fp
             } else {
                 RegClass::Int
             };
             let dst = self.alloc_dst(class);
             self.last_load_dst = Some(dst);
-            let s1 = self.pick_src(ilp_s, p.addr_indep_frac);
+            let s1 = self.pick_src(ilp_s, addr_indep_frac);
             (
                 OpKind::Load,
                 Some(dst),
@@ -537,8 +582,8 @@ impl SynthStream {
             )
         } else if r < store_hi {
             let addr = self.gen_addr(mem_p);
-            let s1 = self.pick_src(ilp_s, p.addr_indep_frac); // address
-            let s2 = self.pick_src(ilp_s, p.src_indep_frac); // data
+            let s1 = self.pick_src(ilp_s, addr_indep_frac); // address
+            let s2 = self.pick_src(ilp_s, src_indep_frac); // data
             (
                 OpKind::Store,
                 None,
@@ -549,15 +594,15 @@ impl SynthStream {
             )
         } else {
             // Compute op.
-            let fp = self.rng.gen::<f64>() < p.fp_frac;
+            let fp = self.rng.gen::<f64>() < fp_frac;
             let u: f64 = self.rng.gen();
-            let kind = if u < p.div_frac {
+            let kind = if u < div_frac {
                 if fp {
                     OpKind::FpDiv
                 } else {
                     OpKind::IntDiv
                 }
-            } else if u < p.div_frac + p.mul_frac {
+            } else if u < div_frac + mul_frac {
                 if fp {
                     OpKind::FpMul
                 } else {
@@ -570,8 +615,8 @@ impl SynthStream {
             };
             let class = if fp { RegClass::Fp } else { RegClass::Int };
             let dst = self.alloc_dst(class);
-            let s1 = self.pick_src(ilp_s, p.src_indep_frac);
-            let s2 = self.pick_src(ilp_s, p.src_indep_frac);
+            let s1 = self.pick_src(ilp_s, src_indep_frac);
+            let s2 = self.pick_src(ilp_s, src_indep_frac);
             (kind, Some(dst), s1, s2, None, None)
         };
 
@@ -972,6 +1017,9 @@ mod tests {
         let mut r = ByteReader::new(&bytes);
         let mut b = UopStream::decode_state(&mut r).expect("decode");
         r.finish().expect("fully consumed");
+        let mut again = ByteWriter::new();
+        b.encode_state(&mut again);
+        assert!(again.into_bytes() == bytes, "re-encoding changed the bytes");
         assert_eq!(b.generated(), a.generated());
         assert_eq!(b.current_pc(), a.current_pc());
         for _ in 0..7_500 {
@@ -1001,6 +1049,61 @@ mod tests {
         let bytes = w.into_bytes();
         let cut = bytes.len() / 2;
         assert!(UopStream::decode_state(&mut ByteReader::new(&bytes[..cut])).is_err());
+    }
+
+    #[test]
+    fn invalid_branch_sites_are_errors() {
+        // 1 KiB of code: 256 branch sites.
+        let s = stream_of(AppProfile::builder("t").code_bytes(1024).build(), 41);
+        let UopStream::Synth(synth) = &s else {
+            unreachable!("stream_of builds a synthetic stream")
+        };
+        assert_eq!(synth.sites.len(), 256);
+        let mut w = ByteWriter::new();
+        s.encode_state(&mut w);
+        let bytes = w.into_bytes();
+        // The first site follows the backend tag, the profile, the rng
+        // state, three u64 fields and the site count.
+        let mut head = ByteWriter::new();
+        head.u8(STATE_TAG_SYNTH);
+        codec::encode_json(&mut head, synth.profile());
+        synth.rng.state().encode(&mut head);
+        for v in [synth.addr_base, synth.pc, synth.code_size] {
+            head.u64(v);
+        }
+        head.usize(synth.sites.len());
+        let mut first = ByteWriter::new();
+        synth.sites[0].encode(&mut first);
+        let (at, end) = (head.len(), head.len() + first.len());
+        assert!(bytes[..end] == [head.as_bytes(), first.as_bytes()].concat());
+
+        let decode_with_first_site = |trip: Option<u16>, pos: u16, dominant_taken: bool| {
+            let mut site = ByteWriter::new();
+            trip.encode(&mut site);
+            site.u16(pos);
+            site.bool(dominant_taken);
+            let patched = [&bytes[..at], site.as_bytes(), &bytes[end..]].concat();
+            UopStream::decode_state(&mut ByteReader::new(&patched))
+        };
+        // Shapes the generator makes decode...
+        assert!(decode_with_first_site(Some(4), 3, true).is_ok());
+        assert!(decode_with_first_site(Some(32), 0, true).is_ok());
+        assert!(decode_with_first_site(None, 0, false).is_ok());
+        // ...and every other shape is a typed error, not a later panic.
+        for (trip, pos, dominant_taken) in [
+            (Some(0), 0, true),
+            (Some(8), 8, true),
+            (Some(8), u16::MAX, true),
+            (Some(8), 0, false),
+            (Some(3), 0, true),
+            (Some(33), 0, true),
+            (None, 1, true),
+        ] {
+            assert!(
+                decode_with_first_site(trip, pos, dominant_taken).is_err(),
+                "accepted site (trip {trip:?}, pos {pos}, dominant taken {dominant_taken})"
+            );
+        }
     }
 
     #[test]
