@@ -11,6 +11,7 @@
 //! scheduling quanta by assignment, mirroring the paper's `Policy_Switch()`.
 
 use crate::policy::FetchPolicy;
+use smt_isa::MAX_HW_CONTEXTS;
 use smt_sim::{FetchChooser, PolicyView};
 
 /// Policy-driven thread selection unit.
@@ -52,17 +53,55 @@ impl Tsu {
 }
 
 impl FetchChooser for Tsu {
+    /// Sort `views` by `(policy key, tiebreak)`, ascending and stable.
+    ///
+    /// The tiebreak rotates: it is `(tid - cycle) mod n_threads`, so
+    /// threads with equal keys alternate leading and a fixed tid order
+    /// cannot starve the high-numbered threads. Each view's rank is
+    /// computed once (not once per comparison), and for the tids below
+    /// `n_threads` the tiebreak needs no division (nor does the rotation
+    /// phase, for a power-of-two `n_threads`). A machine offers at
+    /// most [`MAX_HW_CONTEXTS`] views, which are insertion-sorted on the
+    /// stack; a longer list falls back to a slice sort.
     fn prioritize(&mut self, cycle: u64, views: &mut Vec<PolicyView>) {
+        if views.len() < 2 {
+            return;
+        }
         let n = self.n_threads.max(1) as u64;
         let policy = self.policy;
-        views.sort_by_key(|v| {
+        let phase = if n.is_power_of_two() {
+            cycle & (n - 1)
+        } else {
+            cycle % n
+        };
+        let rank = |v: &PolicyView| {
             let key = policy.key(v, cycle, self.n_threads);
-            // Rotating tiebreak: threads with equal keys alternate leading,
-            // so a deterministic tid order cannot starve high-numbered
-            // threads.
-            let tie = (v.tid.0 as u64 + n - (cycle % n)) % n;
+            let tid = v.tid.0 as u64;
+            let tie = if tid >= n {
+                (tid + n - phase) % n
+            } else if tid >= phase {
+                tid - phase
+            } else {
+                tid + n - phase
+            };
             (key, tie)
-        });
+        };
+        if views.len() > MAX_HW_CONTEXTS {
+            views.sort_by_key(rank);
+            return;
+        }
+        let mut ranks = [(0u64, 0u64); MAX_HW_CONTEXTS];
+        for (r, v) in ranks.iter_mut().zip(views.iter()) {
+            *r = rank(v);
+        }
+        for i in 1..views.len() {
+            let mut j = i;
+            while j > 0 && ranks[j - 1] > ranks[j] {
+                ranks.swap(j - 1, j);
+                views.swap(j - 1, j);
+                j -= 1;
+            }
+        }
     }
 }
 
@@ -123,6 +162,46 @@ mod tests {
         tsu.set_policy(FetchPolicy::BrCount);
         tsu.prioritize(0, &mut views);
         assert_eq!(views[0].tid, Tid(0));
+    }
+
+    #[test]
+    fn ranking_matches_a_stable_sort_by_key_and_rotating_tie() {
+        // The reference: the stable sort on (key, (tid + n - cycle % n) % n)
+        // every rank computation must reproduce, over every policy, random
+        // counters, candidate subsets and tids at or above n_threads.
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for case in 0..2_000u64 {
+            let n_threads = 1 + (next() % 8) as usize;
+            let policy = FetchPolicy::ALL[(next() % 10) as usize];
+            let cycle = next() % 10_000;
+            let n_views = (next() % 11) as usize;
+            let mut views: Vec<PolicyView> = (0..n_views)
+                .map(|_| {
+                    let mut v = view((next() % 9) as u8);
+                    v.iq_occ = (next() % 3) as u32;
+                    v.inflight_branches = (next() % 3) as u32;
+                    v.recent_stalls = next() % 3;
+                    v
+                })
+                .collect();
+            let mut want = views.clone();
+            let n = n_threads as u64;
+            want.sort_by_key(|v| {
+                let key = policy.key(v, cycle, n_threads);
+                (key, (v.tid.0 as u64 + n - (cycle % n)) % n)
+            });
+            Tsu::new(policy, n_threads).prioritize(cycle, &mut views);
+            assert_eq!(
+                views, want,
+                "case {case}: {policy} n={n_threads} cycle {cycle}"
+            );
+        }
     }
 
     #[test]

@@ -196,6 +196,15 @@ impl Hierarchy {
         self.next_line_prefetch = on;
     }
 
+    /// Latency of the slowest data access: an L1D and L2 miss to memory.
+    pub(crate) fn max_data_latency(&self) -> u64 {
+        self.l1d
+            .geom
+            .hit_latency
+            .saturating_add(self.l2.geom.hit_latency)
+            .saturating_add(self.mem_latency)
+    }
+
     fn through_l2(l2: &mut Cache, addr: u64, mem_latency: u64) -> (u64, bool) {
         if l2.access(addr) {
             (l2.geom.hit_latency, false)

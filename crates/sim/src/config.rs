@@ -8,6 +8,12 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Longest latency, in cycles, any one operation may take: a unit, a
+/// syscall, or a load that misses to memory. Each hardware context's
+/// completion wheel has a bucket per cycle of its machine's longest
+/// latency, so this caps the wheel at 2^17 buckets.
+pub const MAX_LATENCY: u64 = 1 << 16;
+
 /// Full static configuration of the simulated machine.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
@@ -195,6 +201,31 @@ impl SimConfig {
         if self.rob_per_thread < self.fetch_buffer_per_thread {
             return Err("rob smaller than fetch buffer".into());
         }
+        if self.rob_per_thread > crate::inflight::WHEEL_MAX_SLOTS {
+            return Err(format!(
+                "rob_per_thread above {}",
+                crate::inflight::WHEEL_MAX_SLOTS
+            ));
+        }
+        let load_miss = self
+            .l1d
+            .hit_latency
+            .saturating_add(self.l2.hit_latency)
+            .saturating_add(self.mem_latency)
+            .saturating_add(1);
+        for (name, lat) in [
+            ("lat_int_mul", self.lat_int_mul),
+            ("lat_int_div", self.lat_int_div),
+            ("lat_fp_alu", self.lat_fp_alu),
+            ("lat_fp_mul", self.lat_fp_mul),
+            ("lat_fp_div", self.lat_fp_div),
+            ("syscall_latency", self.syscall_latency),
+            ("a load missing to memory", load_miss),
+        ] {
+            if lat > MAX_LATENCY {
+                return Err(format!("{name} takes {lat} cycles, over {MAX_LATENCY}"));
+            }
+        }
         for (name, g) in [("l1i", &self.l1i), ("l1d", &self.l1d), ("l2", &self.l2)] {
             if !g.line_bytes.is_power_of_two()
                 || !g.size_bytes.is_multiple_of(g.line_bytes * g.ways)
@@ -258,6 +289,33 @@ mod tests {
         assert!(c.validate().is_err());
         let c = SimConfig {
             threads: 9,
+            ..Default::default()
+        };
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn latencies_past_the_completion_wheel_rejected() {
+        let c = SimConfig {
+            syscall_latency: MAX_LATENCY,
+            ..Default::default()
+        };
+        assert!(c.validate().is_ok());
+        let c = SimConfig {
+            syscall_latency: MAX_LATENCY + 1,
+            ..Default::default()
+        };
+        assert!(c.validate().is_err());
+        let c = SimConfig {
+            mem_latency: MAX_LATENCY,
+            ..Default::default()
+        };
+        assert!(
+            c.validate().is_err(),
+            "the load's L1D and L2 lookups add up"
+        );
+        let c = SimConfig {
+            rob_per_thread: 1 << 16,
             ..Default::default()
         };
         assert!(c.validate().is_err());

@@ -1,11 +1,16 @@
-//! In-flight micro-op records.
+//! In-flight micro-op records and the per-thread completion wheel.
 //!
 //! Each hardware context owns a window (`VecDeque<InFlight>`) ordered by
 //! per-thread sequence number — the reorder buffer. Sequence numbers are
 //! monotone and never reused, so after a squash the window may contain a
-//! gap. [`find_seq`] looks an op up with two O(1) probes, relative to the
-//! front and to the back of the window, and binary-searches only for an
-//! op between two gaps.
+//! gap. The per-cycle stages never search the window: every structure
+//! that refers to an op (an IQ entry, a dispatch-FIFO entry, a completion
+//! wheel link) holds its *position*, which the machine resolves with one
+//! bounds check and one sequence compare. [`find_seq`] remains for the
+//! lookups that start from a bare sequence number (a producer named by a
+//! `deps` entry, a pending syscall, a decoded queue entry): two O(1)
+//! probes, relative to the front and to the back of the window, and a
+//! binary search only for an op between two gaps.
 //!
 //! The [`Stage::Executing`] `done_at` deadlines recorded here are one of
 //! the event sources the machine's event-horizon fast-forward
@@ -13,7 +18,9 @@
 //! publishes its completion cycle the moment it issues, so the machine
 //! knows — without stepping — the first future cycle at which anything
 //! can complete (tracked incrementally as the per-thread `min_done_at`
-//! lower bound).
+//! lower bound). The same deadline files the op on its thread's
+//! `CompletionWheel`, so `complete` finds the ops due this cycle without
+//! looking at any other op.
 
 use smt_isa::codec::{ByteReader, ByteWriter, Codec, CodecError};
 use smt_isa::MicroOp;
@@ -190,6 +197,187 @@ fn find_seq_search(window: &std::collections::VecDeque<InFlight>, seq: u64) -> O
     None
 }
 
+/// Empty bucket or end of a bucket's chain in a [`CompletionWheel`].
+pub(crate) const WHEEL_NIL: u16 = u16::MAX;
+
+/// Most window slots a [`CompletionWheel`] can link: slot indices are
+/// 16-bit and [`WHEEL_NIL`] must stay out of range.
+pub(crate) const WHEEL_MAX_SLOTS: usize = 1 << 15;
+
+/// One thread's completion calendar: a timing wheel with one bucket per
+/// cycle modulo its power-of-two bucket count, each bucket a chain of the
+/// window slots whose ops complete in that cycle.
+///
+/// A window slot is an op's position modulo the power-of-two slot count
+/// (at least the window capacity), so the ops in one window never share
+/// a slot, and each slot carries one `next` link. The bucket count must
+/// exceed every latency the machine can assign: then a bucket holds only
+/// the ops due in one cycle, and the bucket of cycle `now` can be taken
+/// whole. An occupancy bitmap answers "when is the next completion" in a
+/// few word scans.
+#[derive(Clone, Debug)]
+pub(crate) struct CompletionWheel {
+    /// First slot of each bucket's chain ([`WHEEL_NIL`] when empty).
+    heads: Vec<u16>,
+    /// Next slot in the same bucket, per window slot.
+    next: Vec<u16>,
+    /// One bit per bucket, set while the bucket's chain is non-empty.
+    occupied: Vec<u64>,
+}
+
+impl CompletionWheel {
+    /// An empty wheel of `buckets` buckets over `slots` window slots; both
+    /// powers of two, `slots` at most [`WHEEL_MAX_SLOTS`].
+    pub fn new(buckets: usize, slots: usize) -> Self {
+        assert!(buckets.is_power_of_two() && slots.is_power_of_two());
+        assert!(slots <= WHEEL_MAX_SLOTS, "{slots} window slots");
+        CompletionWheel {
+            heads: vec![WHEEL_NIL; buckets],
+            next: vec![WHEEL_NIL; slots],
+            occupied: vec![0; buckets.div_ceil(64)],
+        }
+    }
+
+    /// Bucket count: one more than the longest schedulable latency, at
+    /// least.
+    #[inline]
+    pub fn buckets(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// The window slot of the op at `pos`.
+    #[inline]
+    pub fn slot(&self, pos: u32) -> usize {
+        pos as usize & (self.next.len() - 1)
+    }
+
+    /// Window index of the op at `slot`, in a window whose first op sits
+    /// at position `base`.
+    #[inline]
+    pub fn index_of(&self, slot: u16, base: u32) -> usize {
+        (slot as usize).wrapping_sub(base as usize) & (self.next.len() - 1)
+    }
+
+    #[inline]
+    fn bucket(&self, cycle: u64) -> usize {
+        cycle as usize & (self.heads.len() - 1)
+    }
+
+    /// Link `slot` into the bucket of cycle `due`, which must lie in the
+    /// wheel's horizon after `now` — a later one would alias an earlier
+    /// bucket and complete early.
+    #[inline]
+    pub fn insert(&mut self, slot: usize, due: u64, now: u64) {
+        assert!(
+            due > now && due - now < self.heads.len() as u64,
+            "completion at {due} outside the {}-bucket wheel at cycle {now}",
+            self.heads.len()
+        );
+        self.link(slot, due);
+    }
+
+    /// Link `slot` into the bucket of cycle `due`, unchecked.
+    #[inline]
+    pub fn link(&mut self, slot: usize, due: u64) {
+        let b = self.bucket(due);
+        self.next[slot] = self.heads[b];
+        self.heads[b] = slot as u16;
+        self.occupied[b >> 6] |= 1 << (b & 63);
+    }
+
+    /// Unlink `slot` from the bucket of cycle `due`. Returns whether it
+    /// was there.
+    pub fn remove(&mut self, slot: usize, due: u64) -> bool {
+        let b = self.bucket(due);
+        let slot = slot as u16;
+        if self.heads[b] == slot {
+            self.heads[b] = self.next[slot as usize];
+            if self.heads[b] == WHEEL_NIL {
+                self.occupied[b >> 6] &= !(1 << (b & 63));
+            }
+            return true;
+        }
+        let mut cur = self.heads[b];
+        while cur != WHEEL_NIL {
+            let nxt = self.next[cur as usize];
+            if nxt == slot {
+                self.next[cur as usize] = self.next[slot as usize];
+                return true;
+            }
+            cur = nxt;
+        }
+        false
+    }
+
+    /// Empty the bucket of cycle `now` and return the first slot of its
+    /// chain ([`WHEEL_NIL`] if it was empty); [`Self::next_of`] walks the
+    /// rest. The links stay readable until a slot is linked again.
+    #[inline]
+    pub fn take(&mut self, now: u64) -> u16 {
+        let b = self.bucket(now);
+        self.occupied[b >> 6] &= !(1 << (b & 63));
+        std::mem::replace(&mut self.heads[b], WHEEL_NIL)
+    }
+
+    /// The slot after `slot` in its bucket's chain.
+    #[inline]
+    pub fn next_of(&self, slot: u16) -> u16 {
+        self.next[slot as usize]
+    }
+
+    /// The first cycle after `now` whose bucket is occupied, or
+    /// `u64::MAX` when the wheel is empty. Exact when every linked op is
+    /// due after `now` and within the wheel's horizon.
+    pub fn earliest_after(&self, now: u64) -> u64 {
+        let mask = self.heads.len() - 1;
+        let start = (now as usize).wrapping_add(1) & mask;
+        let words = self.occupied.len();
+        let mut w = start >> 6;
+        let mut bits = self.occupied[w] & (!0u64 << (start & 63));
+        // One more word than the bitmap holds: the start word's low bits
+        // are the wheel's last buckets.
+        for _ in 0..=words {
+            if bits != 0 {
+                let b = (w << 6) | bits.trailing_zeros() as usize;
+                return now + 1 + (b.wrapping_sub(start) & mask) as u64;
+            }
+            w = if w + 1 == words { 0 } else { w + 1 };
+            bits = self.occupied[w];
+        }
+        u64::MAX
+    }
+
+    /// Unlink everything.
+    pub fn clear(&mut self) {
+        for (w, word) in self.occupied.iter_mut().enumerate() {
+            while *word != 0 {
+                self.heads[(w << 6) | word.trailing_zeros() as usize] = WHEEL_NIL;
+                *word &= *word - 1;
+            }
+        }
+    }
+
+    /// Every linked `(bucket, slot)` pair, bucket by bucket — for
+    /// invariant checks. Panics if a chain loops or a bucket's occupancy
+    /// bit disagrees with its chain.
+    pub fn entries(&self) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for (b, &head) in self.heads.iter().enumerate() {
+            let bit = self.occupied[b >> 6] >> (b & 63) & 1 == 1;
+            assert_eq!(bit, head != WHEEL_NIL, "occupancy bit wrong for bucket {b}");
+            let mut cur = head;
+            let mut steps = 0;
+            while cur != WHEEL_NIL {
+                out.push((b, cur as usize));
+                steps += 1;
+                assert!(steps <= self.next.len(), "bucket {b} chain loops");
+                cur = self.next[cur as usize];
+            }
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,6 +433,61 @@ mod tests {
             }
         }
         assert_eq!(find_seq(&VecDeque::new(), 0), None);
+    }
+
+    fn chain(w: &mut CompletionWheel, now: u64) -> Vec<usize> {
+        let mut out = Vec::new();
+        let mut s = w.take(now);
+        while s != WHEEL_NIL {
+            out.push(s as usize);
+            s = w.next_of(s);
+        }
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn wheel_takes_a_bucket_whole_and_finds_the_next_deadline() {
+        let mut w = CompletionWheel::new(8, 4);
+        assert_eq!(w.earliest_after(0), u64::MAX);
+        w.insert(0, 3, 0);
+        w.insert(1, 3, 0);
+        w.insert(2, 7, 0);
+        w.insert(3, 5, 1);
+        assert_eq!(w.earliest_after(0), 3);
+        assert_eq!(chain(&mut w, 3), vec![0, 1]);
+        assert_eq!(w.earliest_after(3), 5);
+        assert!(w.remove(3, 5));
+        assert!(!w.remove(3, 5), "already unlinked");
+        assert_eq!(w.earliest_after(3), 7);
+        // Due 12 at cycle 6 lands in bucket 4 and is found across the
+        // wheel's wrap.
+        w.insert(0, 12, 6);
+        assert_eq!(chain(&mut w, 7), vec![2]);
+        assert_eq!(w.earliest_after(7), 12);
+        assert_eq!(w.entries(), vec![(4, 0)]);
+        w.clear();
+        assert!(w.entries().is_empty());
+        assert_eq!(w.earliest_after(12), u64::MAX);
+    }
+
+    #[test]
+    fn wheel_bitmap_spans_several_words() {
+        let mut w = CompletionWheel::new(256, 128);
+        w.insert(5, 1_000 + 200, 1_000);
+        w.insert(6, 1_000 + 70, 1_000);
+        assert_eq!(w.earliest_after(1_000), 1_070);
+        assert!(w.remove(6, 1_070));
+        assert_eq!(w.earliest_after(1_000), 1_200);
+        // A full turn earlier the scan starts just past the deadline's
+        // bucket and wraps all the way round to it.
+        assert_eq!(w.earliest_after(1_200 - 256), 1_200);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 8-bucket wheel")]
+    fn wheel_rejects_a_deadline_past_its_horizon() {
+        CompletionWheel::new(8, 4).insert(0, 8, 0);
     }
 
     #[test]

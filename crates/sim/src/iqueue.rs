@@ -1,7 +1,7 @@
 //! Per-thread-indexed shared queue.
 //!
-//! The machine's shared structures (instruction queues, LSQ, dispatch FIFO)
-//! hold entries from every hardware context in global age order, but the
+//! The machine's shared queues (the instruction queues and the LSQ) hold
+//! entries from every hardware context in global age order, but the
 //! expensive operations are per-thread: a squash removes one thread's
 //! youngest entries, a flush removes one thread's entries outright, and
 //! store-to-load forwarding only ever inspects the loading thread's own
@@ -10,8 +10,9 @@
 //! paid on every mispredict.
 //!
 //! [`IndexedQueue`] keeps each entry on **two intrusive doubly-linked
-//! lists** over one slab: the global age list (iteration order for issue
-//! and dispatch — identical to the `Vec` push order it replaces) and a
+//! lists** over one slab: the global age list (the order slot
+//! attribution and the codec walk — identical to the `Vec` push order it
+//! replaces) and a
 //! per-thread list (seq-ordered, because every producer inserts a thread's
 //! entries in program order). Squash walks the victim thread's list from
 //! its tail and stops at the first survivor, so the cost is O(victims);
@@ -22,6 +23,11 @@
 //! global age order by an insertion stamp. The issue stage walks only this
 //! list, so a dep-blocked entry costs nothing until its producers finish.
 //! Removal takes an entry off every list it is on.
+//!
+//! The dispatch FIFO is not an `IndexedQueue`: the machine keeps it as a
+//! plain `VecDeque` whose squashed and flushed entries die in place and
+//! are popped as free bubbles when they reach the head, so neither a
+//! squash nor a flush touches it.
 //!
 //! The pre-optimization `Vec`+`retain` semantics are preserved verbatim —
 //! [`reference::RetainQueue`] keeps that implementation alive as the
@@ -112,6 +118,11 @@ impl<T> IndexedQueue<T> {
     #[inline]
     pub fn thread_len(&self, tid: Tid) -> usize {
         self.tlens[tid.idx()] as usize
+    }
+
+    /// Hardware contexts the queue keeps per-thread lists for.
+    pub fn contexts(&self) -> usize {
+        self.theads.len()
     }
 
     fn alloc(&mut self, node: Node<T>) -> u32 {
@@ -300,24 +311,6 @@ impl<T> IndexedQueue<T> {
     #[inline]
     pub fn remove(&mut self, idx: u32) {
         self.unlink(idx);
-    }
-
-    /// Oldest entry, if any.
-    #[inline]
-    pub fn front(&self) -> Option<(Tid, u64, &T)> {
-        if self.head == NIL {
-            None
-        } else {
-            let n = &self.nodes[self.head as usize];
-            Some((Tid(n.tid), n.seq, &n.payload))
-        }
-    }
-
-    /// Drop the oldest entry. Panics if empty.
-    pub fn pop_front(&mut self) {
-        assert!(self.head != NIL, "pop_front on empty IndexedQueue");
-        let h = self.head;
-        self.unlink(h);
     }
 
     /// Cursor to the oldest entry ([`NIL`] when empty).
@@ -617,14 +610,6 @@ pub mod reference {
             self.entries.push((tid, seq, payload));
         }
 
-        pub fn front(&self) -> Option<(Tid, u64, &T)> {
-            self.entries.first().map(|(t, s, p)| (*t, *s, p))
-        }
-
-        pub fn pop_front(&mut self) {
-            self.entries.remove(0);
-        }
-
         /// The original squash purge:
         /// `retain(|q| !(q.tid == tid && q.seq >= min_gone))`.
         pub fn squash_tail(&mut self, tid: Tid, min_gone: u64) -> usize {
@@ -768,19 +753,6 @@ mod tests {
         assert!(q.find_thread_remove(Tid(0), 5));
         assert!(!q.find_thread_remove(Tid(0), 5));
         assert_eq!(q.thread_len(Tid(1)), 1, "other thread's seq 5 survives");
-        q.validate();
-    }
-
-    #[test]
-    fn pop_front_tracks_oldest() {
-        let mut q = IndexedQueue::new(2, 4);
-        q.push_back(Tid(1), 0, 7);
-        q.push_back(Tid(0), 0, 8);
-        assert_eq!(q.front().map(|(t, s, p)| (t.0, s, *p)), Some((1, 0, 7)));
-        q.pop_front();
-        assert_eq!(q.front().map(|(t, s, p)| (t.0, s, *p)), Some((0, 0, 8)));
-        q.pop_front();
-        assert!(q.front().is_none());
         q.validate();
     }
 

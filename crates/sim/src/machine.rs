@@ -26,9 +26,9 @@
 use crate::bpred::BranchPredictor;
 use crate::cache::Hierarchy;
 use crate::chooser::FetchChooser;
-use crate::config::SimConfig;
+use crate::config::{SimConfig, MAX_LATENCY};
 use crate::counters::{CounterSnapshot, PolicyView, ThreadCounters};
-use crate::inflight::{find_seq, InFlight, Stage, NO_WAKE};
+use crate::inflight::{find_seq, CompletionWheel, InFlight, Stage, NO_WAKE, WHEEL_NIL};
 use crate::iqueue::{IndexedQueue, NIL};
 use crate::obs::attr::{CommitCause, FetchCause, IssueCause, SlotAttribution};
 use crate::trace::{MissLevel, TraceBuffer, TraceEvent};
@@ -36,8 +36,7 @@ use crate::wrongpath::WrongPathGen;
 use smt_isa::codec::{self, ByteReader, ByteWriter, Codec, CodecError};
 use smt_isa::{BranchKind, OpKind, RegClass, Tid};
 use smt_workloads::{SplitMix64, UopStream};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Machine-wide statistics the detector thread (and experiment harness)
 /// reads in addition to the per-thread counters.
@@ -61,6 +60,16 @@ pub struct GlobalCounters {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct QRef {
     tid: Tid,
+    seq: u64,
+}
+
+/// A dispatch-FIFO entry: the fetched op's thread, sequence number and
+/// window position ([`ThreadCtx::at`]). The position is transient: a
+/// decode recomputes it.
+#[derive(Clone, Copy, Debug)]
+struct FifoEntry {
+    tid: Tid,
+    pos: u32,
     seq: u64,
 }
 
@@ -94,6 +103,9 @@ struct IqData {
     /// serialized memo. `deps_ready` remains as the search-based
     /// reference oracle.
     pending: u8,
+    /// The op's window position ([`ThreadCtx::at`]). Transient, not
+    /// serialized: rebuilt after decode.
+    pos: u32,
 }
 
 /// Per-context state.
@@ -103,6 +115,15 @@ struct ThreadCtx {
     stream: UopStream,
     wp_gen: WrongPathGen,
     window: VecDeque<InFlight>,
+    /// Position of `window[0]`: commit adds 1 and a flush adds the window
+    /// length, while a squash leaves it alone, so the op at `window[i]`
+    /// keeps the position `base + i` (wrapping) for its whole life. IQ
+    /// entries, dispatch-FIFO entries and the completion wheel name ops
+    /// by position, and [`Self::at`] resolves one in O(1). A squash lets
+    /// later ops reuse its victims' positions, which is why every handle
+    /// also carries the seq. Transient: 0 after decode, where every
+    /// handle is recomputed.
+    base: u32,
     next_seq: u64,
     /// Flat arch-reg → producing seq.
     rename: [Option<u64>; 64],
@@ -124,15 +145,14 @@ struct ThreadCtx {
     /// `complete` and feeds the skip horizon; staleness on the low side
     /// only costs a fruitless pass, never a missed completion.
     min_done_at: u64,
-    /// Completion calendar: a min-heap of `(done_at, seq)` with one entry
-    /// pushed each time an op starts executing, so `complete` pops the
-    /// due ops instead of scanning the window. A squash leaves its
-    /// victims' entries behind: an entry is live while its op is still in
-    /// the window and executing until that `done_at`, and stale ones are
-    /// dropped as they surface. Transient acceleration state like the
-    /// wake chains: cloned, cleared by a flush, rebuilt after decode,
-    /// never serialized.
-    calendar: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Completion calendar: a timing wheel holding exactly the executing
+    /// ops, each linked by its window slot into the bucket of the cycle
+    /// it completes in — `done_at`, or the next cycle for an op due the
+    /// cycle it issues. `complete` takes the bucket of `now` whole instead
+    /// of scanning the window. A squash unlinks its executing victims and
+    /// a flush clears the wheel. Transient acceleration state like the
+    /// wake chains: cloned, rebuilt after decode, never serialized.
+    calendar: CompletionWheel,
     /// Cold-frontend penalty of a cross-core migration: fetch is held
     /// until this cycle (0 = no pending penalty). Set by
     /// [`SmtMachine::migrate_in`], attributed as [`FetchCause::Migration`].
@@ -173,6 +193,7 @@ impl IqData {
             // Rebuilt by `rebuild_wake_state` once the whole machine is
             // decoded (the windows aren't available yet here).
             pending: 0,
+            pos: 0,
         })
     }
 }
@@ -275,7 +296,11 @@ impl ThreadCtx {
         codec::encode_json(w, &self.counters);
     }
 
-    fn decode_from(r: &mut ByteReader, cfg: &SimConfig) -> Result<Self, CodecError> {
+    fn decode_from(
+        r: &mut ByteReader,
+        cfg: &SimConfig,
+        wheel_buckets: usize,
+    ) -> Result<Self, CodecError> {
         let tid = Tid(r.u8()?);
         let stream = UopStream::decode_state(r)?;
         let wp_gen = WrongPathGen::decode_from(r)?;
@@ -287,8 +312,7 @@ impl ThreadCtx {
             )));
         }
         // Rebuilt contiguous regardless of the source ring's split point —
-        // unobservable, since all window lookups go through `find_seq`,
-        // which indexes logically.
+        // unobservable, since all window lookups index logically.
         let mut window = VecDeque::with_capacity(cfg.rob_per_thread);
         let mut last_seq = None;
         for _ in 0..n {
@@ -304,6 +328,7 @@ impl ThreadCtx {
             stream,
             wp_gen,
             window,
+            base: 0,
             next_seq: r.u64()?,
             rename: <[Option<u64>; 64]>::decode(r)?,
             fetch_enabled: r.bool()?,
@@ -315,9 +340,24 @@ impl ThreadCtx {
             min_done_at: r.u64()?,
             migration_stall_until: r.u64()?,
             counters: codec::decode_json(r)?,
-            // Rebuilt by `rebuild_wake_state` once the machine is decoded.
-            calendar: BinaryHeap::new(),
+            // Filled by `rebuild_wake_state` once the machine is decoded.
+            calendar: CompletionWheel::new(wheel_buckets, wheel_slots(cfg)),
         })
+    }
+
+    /// Window index of the op at position `pos`, if it is still the op
+    /// with sequence number `seq` (a squash lets a later op reuse the
+    /// position; a flush or commit removes it).
+    #[inline]
+    fn at(&self, pos: u32, seq: u64) -> Option<usize> {
+        let i = pos.wrapping_sub(self.base) as usize;
+        self.window.get(i).filter(|op| op.seq == seq).map(|_| i)
+    }
+
+    /// Position of `window[i]`.
+    #[inline]
+    fn pos(&self, i: usize) -> u32 {
+        self.base.wrapping_add(i as u32)
     }
 
     /// Can this thread accept fetch this cycle (ignoring chooser priority)?
@@ -335,32 +375,50 @@ impl ThreadCtx {
         self.fetch_enabled && !self.fetchable(cycle, cfg)
     }
 
-    /// Start window op `i` executing until `done_at`, publishing the
-    /// deadline to `min_done_at` and the completion calendar.
-    fn start_executing(&mut self, i: usize, done_at: u64) {
+    /// Start window op `i` executing until `done_at` in cycle `now`,
+    /// publishing the deadline to `min_done_at` and the completion wheel.
+    /// An op due the cycle it issues (a zero latency) completes at the
+    /// next `complete`, since this cycle's already ran.
+    fn start_executing(&mut self, i: usize, now: u64, done_at: u64) {
         self.window[i].stage = Stage::Executing { done_at };
         self.min_done_at = self.min_done_at.min(done_at);
-        self.calendar.push(Reverse((done_at, self.window[i].seq)));
+        let slot = self.calendar.slot(self.pos(i));
+        self.calendar.insert(slot, done_at.max(now + 1), now);
     }
+}
 
-    /// Window index of the op a calendar entry names, if the entry is
-    /// live: the op is still in the window, executing until `done_at`.
-    fn calendar_live(&self, done_at: u64, seq: u64) -> Option<usize> {
-        find_seq(&self.window, seq)
-            .filter(|&i| self.window[i].stage == Stage::Executing { done_at })
-    }
+/// Window slots of a completion wheel: the window capacity rounded up to
+/// a power of two, so position modulo the slot count never maps two ops
+/// of one window to the same slot.
+fn wheel_slots(cfg: &SimConfig) -> usize {
+    cfg.rob_per_thread.next_power_of_two()
+}
 
-    /// Drop stale entries off the calendar's top and return the earliest
-    /// live deadline (`u64::MAX` when none is left).
-    fn earliest_live_deadline(&mut self) -> u64 {
-        while let Some(Reverse((done_at, seq))) = self.calendar.peek().copied() {
-            if self.calendar_live(done_at, seq).is_some() {
-                return done_at;
-            }
-            self.calendar.pop();
-        }
-        u64::MAX
+/// Buckets of every thread's completion wheel: a power of two above the
+/// longest latency `issue` can assign — the unit latencies, the syscall
+/// latency, a forwarded load (2) and a load that misses to memory in
+/// `mem`, the hierarchy the machine holds (a decoded snapshot's own).
+/// `Err` past [`MAX_LATENCY`].
+fn wheel_buckets(cfg: &SimConfig, mem: &Hierarchy) -> Result<usize, String> {
+    let longest = [
+        2,
+        cfg.lat_int_mul,
+        cfg.lat_int_div,
+        cfg.lat_fp_alu,
+        cfg.lat_fp_mul,
+        cfg.lat_fp_div,
+        cfg.syscall_latency,
+        mem.max_data_latency().saturating_add(1),
+    ]
+    .into_iter()
+    .max()
+    .unwrap_or(0);
+    if longest > MAX_LATENCY {
+        return Err(format!(
+            "latency {longest} exceeds the {MAX_LATENCY}-cycle maximum"
+        ));
     }
+    Ok((longest as usize + 1).next_power_of_two())
 }
 
 /// The simultaneous-multithreading machine.
@@ -406,7 +464,14 @@ pub struct SmtMachine {
     /// scheduling policies exist to manage. This is also what propagates
     /// fetch priority into the shared queues: a thread that wins fetch
     /// slots owns a proportional share of this FIFO.
-    dispatch_fifo: IndexedQueue<()>,
+    ///
+    /// Squash and flush leave their victims' entries in place. An entry
+    /// is live while [`ThreadCtx::at`] finds its op; dispatch pops a dead
+    /// one at the head as a free bubble (no budget, no step work), the
+    /// skip engine looks past dead entries to the first live one, and
+    /// the codec writes only live entries, so a snapshot holds exactly
+    /// the ops still waiting to leave the decode pipe.
+    dispatch_fifo: VecDeque<FifoEntry>,
     /// Producer-completion wake chains backing the issue stage's
     /// `pending` readiness counters. Transient acceleration state:
     /// cloned with the machine (slab indices are preserved by `Clone`),
@@ -448,6 +513,9 @@ impl SmtMachine {
             cfg.threads,
             "one stream per configured context"
         );
+        let mut mem = Hierarchy::new(cfg.l1i, cfg.l1d, cfg.l2, cfg.mem_latency);
+        mem.set_next_line_prefetch(cfg.next_line_prefetch);
+        let buckets = wheel_buckets(&cfg, &mem).expect("validated latencies");
         let threads = streams
             .into_iter()
             .enumerate()
@@ -459,6 +527,7 @@ impl SmtMachine {
                     wp_gen: WrongPathGen::new(SplitMix64::derive(0xAD75 ^ i as u64, 7), base, ws),
                     stream,
                     window: VecDeque::with_capacity(cfg.rob_per_thread),
+                    base: 0,
                     next_seq: 0,
                     rename: [None; 64],
                     fetch_enabled: true,
@@ -468,14 +537,12 @@ impl SmtMachine {
                     wrong_path_since: None,
                     wp_pc: 0,
                     min_done_at: u64::MAX,
-                    calendar: BinaryHeap::new(),
+                    calendar: CompletionWheel::new(buckets, wheel_slots(&cfg)),
                     migration_stall_until: 0,
                     counters: ThreadCounters::default(),
                 }
             })
             .collect();
-        let mut mem = Hierarchy::new(cfg.l1i, cfg.l1d, cfg.l2, cfg.mem_latency);
-        mem.set_next_line_prefetch(cfg.next_line_prefetch);
         SmtMachine {
             free_int_regs: cfg.extra_phys_int,
             free_fp_regs: cfg.extra_phys_fp,
@@ -494,7 +561,7 @@ impl SmtMachine {
             trace: None,
             attr: None,
             l2_rot: 0,
-            dispatch_fifo: IndexedQueue::new(cfg.threads, 64),
+            dispatch_fifo: VecDeque::with_capacity(64),
             wake: WakeArena::default(),
             skip_enabled: true,
             skipped_cycles: 0,
@@ -542,7 +609,19 @@ impl SmtMachine {
         w.u64(self.global.fetch_slots_used);
         w.u64(self.global.squashes);
         w.u64(self.global.syscall_drain_cycles);
-        self.dispatch_fifo.encode_with(w, |_, ()| {});
+        // The live entries, laid out as the `IndexedQueue` codec lays out
+        // a queue: context count, length, then (tid, seq) in FIFO order.
+        let live = || {
+            self.dispatch_fifo
+                .iter()
+                .filter(|e| self.threads[e.tid.idx()].at(e.pos, e.seq).is_some())
+        };
+        w.usize(self.threads.len());
+        w.usize(live().count());
+        for e in live() {
+            w.u8(e.tid.0);
+            w.u64(e.seq);
+        }
     }
 
     /// Rebuild a machine from [`Self::encode_into`] bytes. Never panics on
@@ -553,6 +632,7 @@ impl SmtMachine {
             .map_err(|e| CodecError::Invalid(format!("bad SimConfig: {e}")))?;
         let cycle = r.u64()?;
         let mem = Hierarchy::decode_from(r)?;
+        let buckets = wheel_buckets(&cfg, &mem).map_err(CodecError::Invalid)?;
         let bpred = BranchPredictor::decode_from(r)?;
         let n_threads = r.usize()?;
         if n_threads != cfg.threads {
@@ -563,15 +643,29 @@ impl SmtMachine {
         }
         let mut threads = Vec::with_capacity(n_threads);
         for i in 0..n_threads {
-            let t = ThreadCtx::decode_from(r, &cfg)?;
+            let t = ThreadCtx::decode_from(r, &cfg, buckets)?;
             if t.tid.idx() != i {
                 return Err(CodecError::Invalid("thread ids out of order".into()));
             }
             threads.push(t);
         }
+        // Each shared queue must have been encoded for this machine's
+        // contexts: a thread with no per-thread list would index past it.
+        let contexts = |q: usize, what: &str| {
+            if q == n_threads {
+                Ok(())
+            } else {
+                Err(CodecError::Invalid(format!(
+                    "{what} encoded for {q} contexts, machine has {n_threads}"
+                )))
+            }
+        };
         let int_iq = IndexedQueue::decode_with(r, IqData::decode_from)?;
+        contexts(int_iq.contexts(), "int IQ")?;
         let fp_iq = IndexedQueue::decode_with(r, IqData::decode_from)?;
+        contexts(fp_iq.contexts(), "fp IQ")?;
         let lsq = IndexedQueue::decode_with(r, LsqData::decode_from)?;
+        contexts(lsq.contexts(), "LSQ")?;
         let free_int_regs = r.usize()?;
         let free_fp_regs = r.usize()?;
         let int_div_free_at = r.u64()?;
@@ -596,7 +690,36 @@ impl SmtMachine {
             squashes: r.u64()?,
             syscall_drain_cycles: r.u64()?,
         };
-        let dispatch_fifo = IndexedQueue::decode_with(r, |_| Ok(()))?;
+        contexts(r.usize()?, "dispatch FIFO")?;
+        let len = r.usize()?;
+        let mut dispatch_fifo = VecDeque::with_capacity(len.min(r.remaining()));
+        let mut last_seq: Vec<Option<u64>> = vec![None; n_threads];
+        for _ in 0..len {
+            let tid = r.u8()?;
+            if tid as usize >= n_threads {
+                return Err(CodecError::Invalid(format!(
+                    "dispatch FIFO entry tid {tid} out of range"
+                )));
+            }
+            let seq = r.u64()?;
+            let last = &mut last_seq[tid as usize];
+            if last.is_some_and(|s| s >= seq) {
+                return Err(CodecError::Invalid(
+                    "dispatch FIFO entries out of seq order".into(),
+                ));
+            }
+            *last = Some(seq);
+            // Positions restart at 0 (`base`), so an op's position is its
+            // window index. An entry whose op is not in the window would
+            // be a dead entry, which the encoder never writes.
+            if let Some(i) = find_seq(&threads[tid as usize].window, seq) {
+                dispatch_fifo.push_back(FifoEntry {
+                    tid: Tid(tid),
+                    pos: i as u32,
+                    seq,
+                });
+            }
+        }
         let mut m = SmtMachine {
             view_buf: Vec::with_capacity(cfg.threads),
             squash_buf: Vec::new(),
@@ -624,26 +747,39 @@ impl SmtMachine {
             global,
             dispatch_fifo,
         };
-        // The wake chains, `pending` counters, ready lists and completion
-        // calendars are transient (not part of the byte format) and the
-        // queue decode does not preserve slab indices, so recompute them
-        // from the decoded windows/queues.
-        m.rebuild_wake_state();
+        // The wake chains, `pending` counters, ready lists, positions and
+        // completion wheels are transient (not part of the byte format)
+        // and the queue decode does not preserve slab indices, so
+        // recompute them from the decoded windows/queues.
+        m.rebuild_wake_state()?;
         Ok(m)
     }
 
     /// Recompute the transient acceleration state (wake chains, per-entry
-    /// `pending` counters, IQ ready lists, completion calendars) from the
-    /// architecturally serialized state: windows, queues and `deps`. Used
-    /// after decode; `Clone` preserves the state directly.
-    fn rebuild_wake_state(&mut self) {
+    /// `pending` counters, IQ ready lists and positions, completion
+    /// wheels) from the architecturally serialized state: windows, queues
+    /// and `deps`. Used after decode, where every `base` is 0; `Clone`
+    /// preserves the state directly. `Err` for an executing op whose
+    /// deadline lies past the wheel.
+    fn rebuild_wake_state(&mut self) -> Result<(), CodecError> {
+        let now = self.cycle;
         self.wake.clear();
         for ctx in &mut self.threads {
             ctx.calendar.clear();
-            for op in ctx.window.iter_mut() {
-                op.wake_head = NO_WAKE;
-                if let Stage::Executing { done_at } = op.stage {
-                    ctx.calendar.push(Reverse((done_at, op.seq)));
+            for i in 0..ctx.window.len() {
+                ctx.window[i].wake_head = NO_WAKE;
+                if let Stage::Executing { done_at } = ctx.window[i].stage {
+                    // Between cycles an op issued last cycle with zero
+                    // latency is due now, one cycle past its `done_at`.
+                    let due = done_at.max(now);
+                    if due - now >= ctx.calendar.buckets() as u64 {
+                        return Err(CodecError::Invalid(format!(
+                            "{} completes at {done_at}, past the completion wheel at cycle {now}",
+                            ctx.tid
+                        )));
+                    }
+                    let slot = ctx.calendar.slot(ctx.pos(i));
+                    ctx.calendar.link(slot, due);
                 }
             }
         }
@@ -660,6 +796,9 @@ impl SmtMachine {
             }
             for (slot, tid, seq, deps) in entries {
                 let ctx = &mut self.threads[tid.idx()];
+                // An entry with no window op would be corrupt; a position
+                // that never resolves keeps issue from acting on it.
+                let pos = find_seq(&ctx.window, seq).map_or(u32::MAX, |i| ctx.pos(i));
                 let oldest = ctx.window.front().map_or(u64::MAX, |f| f.seq);
                 let mut pending = 0u8;
                 for dep in deps.iter().copied().flatten() {
@@ -684,12 +823,15 @@ impl SmtMachine {
                 } else {
                     &mut self.int_iq
                 };
-                q.payload_mut(slot).pending = pending;
+                let d = q.payload_mut(slot);
+                d.pending = pending;
+                d.pos = pos;
                 if pending == 0 {
                     q.mark_ready(slot);
                 }
             }
         }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1089,63 +1231,58 @@ impl SmtMachine {
             }
         }
 
-        // Dispatch consumes strictly from the FIFO head: popping a
-        // squashed bubble or a syscall is a state change; a head still in
-        // the decode pipe publishes its `ready_at` as a deadline; a ready
-        // head that clears every structural hazard would dispatch. A
-        // ready head *blocked* by a hazard pins the front end until an
-        // issue or commit frees the resource — event-driven, already
-        // covered by the completion deadlines above.
+        // Dispatch consumes strictly from the FIFO head. Dead entries
+        // ahead of the first live one are free bubbles, not work, so the
+        // head is that first live entry: popping a syscall is a state
+        // change; a head still in the decode pipe publishes its
+        // `ready_at` as a deadline; a ready head that clears every
+        // structural hazard would dispatch. A ready head *blocked* by a
+        // hazard pins the front end until an issue or commit frees the
+        // resource — event-driven, already covered by the completion
+        // deadlines above.
         if self.cfg.dispatch_width > 0 {
-            if let Some((tid, seq, _)) = self.dispatch_fifo.front() {
-                let ti = tid.idx();
-                match find_seq(&self.threads[ti].window, seq) {
-                    None => return None, // bubble pop
-                    Some(i) => {
-                        let op = &self.threads[ti].window[i];
-                        match op.stage {
-                            Stage::FrontEnd { ready_at } if ready_at <= now => {
-                                let kind = op.uop.kind;
-                                if kind == OpKind::Syscall {
-                                    return None; // popped into the window
-                                }
-                                let iq_full = if kind.is_fp() {
-                                    self.fp_iq.len() >= self.cfg.fp_iq_size
-                                } else {
-                                    self.int_iq.len() >= self.cfg.int_iq_size
-                                };
-                                if !iq_full {
-                                    if kind.is_mem() && self.lsq.len() >= self.cfg.lsq_size {
-                                        // Stalled on the full LSQ: a pure
-                                        // stall, but one that charges the
-                                        // head thread's `lsq_full_cycles`
-                                        // per cycle — `skip_cycles`
-                                        // replays the charge in bulk.
-                                    } else {
-                                        let blocked_on_regs = match op.uop.dst {
-                                            Some(d) => {
-                                                let free = match d.class {
-                                                    RegClass::Int => self.free_int_regs,
-                                                    RegClass::Fp => self.free_fp_regs,
-                                                };
-                                                free == 0
-                                            }
-                                            None => false,
+            if let Some((ti, i)) = self.fifo_head() {
+                let op = &self.threads[ti].window[i];
+                match op.stage {
+                    Stage::FrontEnd { ready_at } if ready_at <= now => {
+                        let kind = op.uop.kind;
+                        if kind == OpKind::Syscall {
+                            return None; // popped into the window
+                        }
+                        let iq_full = if kind.is_fp() {
+                            self.fp_iq.len() >= self.cfg.fp_iq_size
+                        } else {
+                            self.int_iq.len() >= self.cfg.int_iq_size
+                        };
+                        if !iq_full {
+                            if kind.is_mem() && self.lsq.len() >= self.cfg.lsq_size {
+                                // Stalled on the full LSQ: a pure stall,
+                                // but one that charges the head thread's
+                                // `lsq_full_cycles` per cycle —
+                                // `skip_cycles` replays the charge in bulk.
+                            } else {
+                                let blocked_on_regs = match op.uop.dst {
+                                    Some(d) => {
+                                        let free = match d.class {
+                                            RegClass::Int => self.free_int_regs,
+                                            RegClass::Fp => self.free_fp_regs,
                                         };
-                                        if !blocked_on_regs {
-                                            return None; // would dispatch
-                                        }
+                                        free == 0
                                     }
+                                    None => false,
+                                };
+                                if !blocked_on_regs {
+                                    return None; // would dispatch
                                 }
                             }
-                            Stage::FrontEnd { ready_at } => {
-                                horizon = horizon.min(ready_at);
-                            }
-                            // Defensive: dispatch would stall on this
-                            // head until a squash removes it.
-                            _ => {}
                         }
                     }
+                    Stage::FrontEnd { ready_at } => {
+                        horizon = horizon.min(ready_at);
+                    }
+                    // A syscall the drain started before dispatch popped
+                    // it: dispatch stalls on it until it retires.
+                    _ => {}
                 }
             }
         }
@@ -1286,13 +1423,21 @@ impl SmtMachine {
         self.skipped_cycles += k;
     }
 
+    /// Thread and window index of the op behind the first live
+    /// dispatch-FIFO entry — the head dispatch will act on once it has
+    /// popped the dead entries ahead of it.
+    fn fifo_head(&self) -> Option<(usize, usize)> {
+        self.dispatch_fifo.iter().find_map(|e| {
+            let ti = e.tid.idx();
+            self.threads[ti].at(e.pos, e.seq).map(|i| (ti, i))
+        })
+    }
+
     /// Is the dispatch head a ready op whose only structural hazard is
     /// the full LSQ? Mirrors the hazard cascade in
     /// [`SmtMachine::dispatch`] without side effects.
     fn dispatch_head_lsq_blocked(&self, now: u64) -> Option<usize> {
-        let (tid, seq, _) = self.dispatch_fifo.front()?;
-        let ti = tid.idx();
-        let i = find_seq(&self.threads[ti].window, seq)?;
+        let (ti, i) = self.fifo_head()?;
         let op = &self.threads[ti].window[i];
         match op.stage {
             Stage::FrontEnd { ready_at } if ready_at <= now => {}
@@ -1429,23 +1574,24 @@ impl SmtMachine {
                 continue;
             }
             let tid = ctx.tid;
-            // Pop the due calendar entries, drop those whose op was
-            // squashed, and finish the rest oldest first: the window order
+            // Take this cycle's wheel bucket whole — everything in it is
+            // due now — and finish its ops oldest first: the window order
             // a scan would visit them in.
             due.clear();
-            while let Some(Reverse((done_at, seq))) = ctx.calendar.peek().copied() {
-                if done_at > now {
-                    break;
-                }
-                ctx.calendar.pop();
-                if let Some(i) = ctx.calendar_live(done_at, seq) {
-                    due.push(i);
-                }
+            let mut slot = ctx.calendar.take(now);
+            while slot != WHEEL_NIL {
+                due.push(ctx.calendar.index_of(slot, ctx.base));
+                slot = ctx.calendar.next_of(slot);
             }
             due.sort_unstable();
             self.step_work += due.len() as u32;
             for &i in &due {
                 let op = &mut ctx.window[i];
+                debug_assert!(
+                    matches!(op.stage, Stage::Executing { done_at } if done_at == now || done_at + 1 == now),
+                    "wheel bucket {now} holds {:?}",
+                    op.stage
+                );
                 op.stage = Stage::Done;
                 let wake_head = std::mem::replace(&mut op.wake_head, NO_WAKE);
                 // Copy the facts out so counter updates don't fight the
@@ -1524,7 +1670,9 @@ impl SmtMachine {
                     _ => {}
                 }
             }
-            ctx.min_done_at = ctx.earliest_live_deadline();
+            // Every op left on the wheel is due after now in its own
+            // bucket's cycle, so this is the earliest live deadline.
+            ctx.min_done_at = ctx.calendar.earliest_after(now);
         }
         self.due_buf = due;
         if TRACE {
@@ -1578,7 +1726,15 @@ impl SmtMachine {
             match stage {
                 Stage::FrontEnd { .. } => ctx.counters.front_end_occ -= 1,
                 Stage::Queued => ctx.counters.iq_occ -= 1,
-                _ => {}
+                Stage::Executing { done_at } => {
+                    // Everything due by now completed in this cycle's
+                    // pass, so the victim sits in its `done_at` bucket.
+                    debug_assert!(done_at > now);
+                    let slot = ctx.calendar.slot(ctx.pos(i));
+                    let linked = ctx.calendar.remove(slot, done_at);
+                    debug_assert!(linked, "executing victim missing from the wheel");
+                }
+                Stage::Done => {}
             }
             if !done {
                 match kind {
@@ -1605,13 +1761,13 @@ impl SmtMachine {
         }
         ctx.window.truncate(cut);
         let tid = ctx.tid;
-        // Purge shared structures of the squashed refs: O(victims) per
-        // queue, touching only this thread's entries.
+        // Purge the shared queues of the squashed refs: O(victims) per
+        // queue, touching only this thread's entries. The dispatch FIFO
+        // keeps its dead entries until they reach the head.
         let min_gone = seq + 1;
         self.int_iq.squash_tail(tid, min_gone);
         self.fp_iq.squash_tail(tid, min_gone);
         self.lsq.squash_tail(tid, min_gone);
-        self.dispatch_fifo.squash_tail(tid, min_gone);
 
         let ctx = &mut self.threads[ti];
         ctx.wrong_path_since = None;
@@ -1647,9 +1803,14 @@ impl SmtMachine {
     fn commit<const TRACE: bool>(&mut self) {
         let n = self.threads.len();
         let mut budget = self.cfg.commit_width;
-        let start = (self.cycle % n as u64) as usize;
-        for k in 0..n {
-            let ti = (start + k) % n;
+        // The round-robin walk starts at thread `cycle mod n`: a mask, not
+        // a division, for a power-of-two thread count.
+        let mut ti = if n.is_power_of_two() {
+            self.cycle as usize & (n - 1)
+        } else {
+            (self.cycle % n as u64) as usize
+        };
+        for _ in 0..n {
             while budget > 0 {
                 let ctx = &mut self.threads[ti];
                 let Some(head) = ctx.window.front() else {
@@ -1660,6 +1821,7 @@ impl SmtMachine {
                 }
                 debug_assert!(!head.wrong_path, "wrong-path op reached commit");
                 let op = ctx.window.pop_front().expect("head exists");
+                ctx.base = ctx.base.wrapping_add(1);
                 budget -= 1;
                 ctx.counters.committed += 1;
                 self.global.committed += 1;
@@ -1695,6 +1857,7 @@ impl SmtMachine {
                     );
                 }
             }
+            ti = if ti + 1 == n { 0 } else { ti + 1 };
         }
         self.step_work += (self.cfg.commit_width - budget) as u32;
         if TRACE {
@@ -1772,7 +1935,7 @@ impl SmtMachine {
                 let ctx = &mut self.threads[q.tid.idx()];
                 if let Some(i) = find_seq(&ctx.window, q.seq) {
                     if ctx.window[i].in_front_end() {
-                        ctx.start_executing(i, now + self.cfg.syscall_latency);
+                        ctx.start_executing(i, now, now + self.cfg.syscall_latency);
                         ctx.counters.front_end_occ -= 1;
                         self.step_work += 1;
                     }
@@ -1864,25 +2027,25 @@ impl SmtMachine {
                     return false;
                 }
                 *ldst_ports -= 1;
-                return self.issue_load::<TRACE>(q, now);
+                return self.issue_load::<TRACE>(q, d.pos, now);
             }
             OpKind::Store => {
                 if *ldst_ports == 0 {
                     return false;
                 }
                 *ldst_ports -= 1;
-                return self.issue_store::<TRACE>(q, now);
+                return self.issue_store::<TRACE>(q, d.pos, now);
             }
             OpKind::Syscall => return false, // handled by the drain path
             _ => unreachable!("fp op in int queue"),
         };
         let ctx = &mut self.threads[q.tid.idx()];
-        let Some(i) = find_seq(&ctx.window, q.seq) else {
+        let Some(i) = ctx.at(d.pos, q.seq) else {
             debug_assert!(false, "queue entry without window op");
             return false;
         };
         debug_assert!(ctx.window[i].is_queued(), "issued op left in queue");
-        ctx.start_executing(i, done_at);
+        ctx.start_executing(i, now, done_at);
         ctx.counters.iq_occ -= 1;
         if TRACE {
             self.trace_push(TraceEvent::Issue {
@@ -1895,20 +2058,25 @@ impl SmtMachine {
         true
     }
 
-    fn issue_load<const TRACE: bool>(&mut self, q: QRef, now: u64) -> bool {
+    fn issue_load<const TRACE: bool>(&mut self, q: QRef, pos: u32, now: u64) -> bool {
         let ti = q.tid.idx();
-        let i = find_seq(&self.threads[ti].window, q.seq).expect("checked");
+        let Some(i) = self.threads[ti].at(pos, q.seq) else {
+            debug_assert!(false, "queue entry without window op");
+            return false;
+        };
         let uop = self.threads[ti].window[i].uop;
         let wrong_path = self.threads[ti].window[i].wrong_path;
         let addr = uop.mem.expect("load has mem").addr;
         let addr8 = addr >> 3;
         // Store-to-load forwarding: an older in-flight store to the same
         // 8-byte word supplies the value without a cache access. Only this
-        // thread's LSQ entries are walked.
+        // thread's LSQ entries are walked, and its list is seq-ordered, so
+        // the walk stops at the load's own entry.
         let forwarded = self
             .lsq
             .iter_thread(q.tid)
-            .any(|(seq, e)| e.is_store && seq < q.seq && e.addr8 == addr8);
+            .take_while(|&(seq, _)| seq < q.seq)
+            .any(|(_, e)| e.is_store && e.addr8 == addr8);
         let (lat, l1_miss, l2_miss) = if forwarded {
             (2, false, false)
         } else {
@@ -1916,7 +2084,7 @@ impl SmtMachine {
             (1 + r.latency, r.l1_miss, r.l2_miss)
         };
         let ctx = &mut self.threads[ti];
-        ctx.start_executing(i, now + lat);
+        ctx.start_executing(i, now, now + lat);
         ctx.window[i].dmiss = l1_miss;
         ctx.counters.iq_occ -= 1;
         if !wrong_path {
@@ -1960,9 +2128,12 @@ impl SmtMachine {
         true
     }
 
-    fn issue_store<const TRACE: bool>(&mut self, q: QRef, now: u64) -> bool {
+    fn issue_store<const TRACE: bool>(&mut self, q: QRef, pos: u32, now: u64) -> bool {
         let ti = q.tid.idx();
-        let i = find_seq(&self.threads[ti].window, q.seq).expect("checked");
+        let Some(i) = self.threads[ti].at(pos, q.seq) else {
+            debug_assert!(false, "queue entry without window op");
+            return false;
+        };
         let uop = self.threads[ti].window[i].uop;
         let wrong_path = self.threads[ti].window[i].wrong_path;
         let addr = uop.mem.expect("store has mem").addr;
@@ -1970,7 +2141,7 @@ impl SmtMachine {
         // latency from the store itself.
         let r = self.mem.data(addr);
         let ctx = &mut self.threads[ti];
-        ctx.start_executing(i, now + 1);
+        ctx.start_executing(i, now, now + 1);
         ctx.counters.iq_occ -= 1;
         if !wrong_path {
             ctx.counters.stores += 1;
@@ -2040,12 +2211,12 @@ impl SmtMachine {
         };
         *fp_units -= 1;
         let ctx = &mut self.threads[q.tid.idx()];
-        let Some(i) = find_seq(&ctx.window, q.seq) else {
+        let Some(i) = ctx.at(d.pos, q.seq) else {
             debug_assert!(false, "queue entry without window op");
             return false;
         };
         debug_assert!(ctx.window[i].is_queued(), "issued op left in queue");
-        ctx.start_executing(i, done_at);
+        ctx.start_executing(i, now, done_at);
         ctx.counters.iq_occ -= 1;
         if TRACE {
             self.trace_push(TraceEvent::Issue {
@@ -2064,15 +2235,16 @@ impl SmtMachine {
 
     fn dispatch<const TRACE: bool>(&mut self) {
         let now = self.cycle;
-        let fifo_len = self.dispatch_fifo.len();
         let mut budget = self.cfg.dispatch_width;
+        let mut popped = 0u32;
         while budget > 0 {
-            let Some((tid, seq, _)) = self.dispatch_fifo.front() else {
+            let Some(&FifoEntry { tid, pos, seq }) = self.dispatch_fifo.front() else {
                 break;
             };
             let ti = tid.idx();
-            let Some(i) = find_seq(&self.threads[ti].window, seq) else {
-                // Squashed while queued for decode; skip the bubble.
+            let Some(i) = self.threads[ti].at(pos, seq) else {
+                // Squashed or flushed while queued for decode (or a syscall
+                // the drain already retired): a free bubble.
                 self.dispatch_fifo.pop_front();
                 continue;
             };
@@ -2087,6 +2259,7 @@ impl SmtMachine {
                 // Syscalls hold no queue resources; they leave the decode
                 // pipe and wait in the window for the machine-wide drain.
                 self.dispatch_fifo.pop_front();
+                popped += 1;
                 continue;
             }
             // Structural hazards stall the whole in-order front end.
@@ -2125,6 +2298,7 @@ impl SmtMachine {
                 deps,
                 deps_done: false,
                 pending: 0,
+                pos,
             };
             let slot = if is_fp {
                 self.fp_iq.push_back(tid, seq, data)
@@ -2181,6 +2355,7 @@ impl SmtMachine {
                 );
             }
             self.dispatch_fifo.pop_front();
+            popped += 1;
             if TRACE {
                 self.trace_push(TraceEvent::Dispatch {
                     cycle: now,
@@ -2190,8 +2365,9 @@ impl SmtMachine {
             }
             budget -= 1;
         }
-        // Every FIFO pop (dispatch, squashed bubble, syscall) is work.
-        self.step_work += (fifo_len - self.dispatch_fifo.len()) as u32;
+        // Every live pop (dispatch, syscall) is work. A bubble is not: the
+        // skip gate must not depend on when dead entries surface.
+        self.step_work += popped;
     }
 
     // ------------------------------------------------------------------
@@ -2200,30 +2376,32 @@ impl SmtMachine {
 
     fn fetch<C: FetchChooser, const TRACE: bool>(&mut self, chooser: &mut C) {
         let now = self.cycle;
-        // Account stalls for blocked-but-willing threads every cycle.
+        let drain = !self.pending_syscalls.is_empty();
+        // One pass over the threads: a willing thread that cannot fetch
+        // this cycle (every willing thread, during a syscall drain)
+        // accounts a stall; the fetchable ones become the candidates.
+        let mut views = std::mem::take(&mut self.view_buf);
+        views.clear();
         for ctx in &mut self.threads {
-            if (ctx.fetch_blocked(now, &self.cfg) || !self.pending_syscalls.is_empty())
-                && ctx.fetch_enabled
-            {
+            if !ctx.fetch_enabled {
+                continue;
+            }
+            if !drain && ctx.fetchable(now, &self.cfg) {
+                views.push(PolicyView::of(ctx.tid, &ctx.counters, now));
+            } else {
                 ctx.counters.fetch_stall_cycles += 1;
                 ctx.counters.recent_stalls += 1;
             }
         }
-        if !self.pending_syscalls.is_empty() {
+        if drain {
+            self.view_buf = views;
             self.global.syscall_drain_cycles += 1;
             if TRACE {
                 self.attr_fetch(self.cfg.fetch_width, true);
             }
             return;
         }
-        // Fetchable candidates, ordered by the policy.
-        let mut views = std::mem::take(&mut self.view_buf);
-        views.clear();
-        for ctx in &self.threads {
-            if ctx.fetchable(now, &self.cfg) {
-                views.push(PolicyView::of(ctx.tid, &ctx.counters, now));
-            }
-        }
+        // The candidates, ordered by the policy.
         chooser.prioritize(now, &mut views);
         let mut remaining = self.cfg.fetch_width;
         for v in views.iter().take(self.cfg.max_fetch_threads) {
@@ -2242,7 +2420,8 @@ impl SmtMachine {
     /// Fetch up to `budget` ops from `tid`; returns how many were fetched.
     fn fetch_thread<const TRACE: bool>(&mut self, tid: Tid, budget: usize) -> usize {
         let now = self.cycle;
-        let line_bytes = self.cfg.l1i.line_bytes as u64;
+        // `line_bytes` is a validated power of two.
+        let line_shift = self.cfg.l1i.line_bytes.trailing_zeros();
         let mut fetched = 0usize;
         let mut line: Option<u64> = None;
         while fetched < budget {
@@ -2259,7 +2438,7 @@ impl SmtMachine {
                 ctx.stream.current_pc()
             };
             // One I-cache line per thread per cycle.
-            let this_line = pc / line_bytes;
+            let this_line = pc >> line_shift;
             match line {
                 None => line = Some(this_line),
                 Some(l) if l != this_line => break,
@@ -2395,8 +2574,10 @@ impl SmtMachine {
                 stop_after = true;
             }
             let kind = inflight.uop.kind;
-            self.threads[tid.idx()].window.push_back(inflight);
-            self.dispatch_fifo.push_back(tid, seq, ());
+            let ctx = &mut self.threads[tid.idx()];
+            let pos = ctx.pos(ctx.window.len());
+            ctx.window.push_back(inflight);
+            self.dispatch_fifo.push_back(FifoEntry { tid, pos, seq });
             if TRACE {
                 self.trace_push(TraceEvent::Fetch {
                     cycle: now,
@@ -2602,6 +2783,9 @@ impl SmtMachine {
         }
         let victims = ctx.window.len();
         ctx.window.clear();
+        // Later ops take fresh positions; the thread's dead dispatch-FIFO
+        // entries stay until they reach the head.
+        ctx.base = ctx.base.wrapping_add(victims as u32);
         ctx.wrong_path_since = None;
         ctx.rename = [None; 64];
         ctx.min_done_at = u64::MAX;
@@ -2609,7 +2793,6 @@ impl SmtMachine {
         self.int_iq.remove_thread(tid);
         self.fp_iq.remove_thread(tid);
         self.lsq.remove_thread(tid);
-        self.dispatch_fifo.remove_thread(tid);
         self.pending_syscalls.retain(|q| q.tid != tid);
         // Not on the per-cycle hot path (quantum-boundary operation), so a
         // plain runtime branch suffices instead of the TRACE const.
@@ -2801,7 +2984,8 @@ impl SmtMachine {
         }
         self.cycle += 1;
         self.global.cycles = self.cycle;
-        if self.cycle.is_multiple_of(self.cfg.decay_period) {
+        // `decay_period` is a validated power of two.
+        if self.cycle & (self.cfg.decay_period - 1) == 0 {
             for ctx in &mut self.threads {
                 ctx.counters.decay();
             }
@@ -2902,7 +3086,6 @@ impl SmtMachine {
         self.int_iq.validate_ready(|d| d.pending == 0);
         self.fp_iq.validate_ready(|d| d.pending == 0);
         self.lsq.validate();
-        self.dispatch_fifo.validate();
         assert!(self.int_iq.len() <= self.cfg.int_iq_size, "int IQ overflow");
         assert!(self.fp_iq.len() <= self.cfg.fp_iq_size, "fp IQ overflow");
         assert!(self.lsq.len() <= self.cfg.lsq_size, "LSQ overflow");
@@ -2948,27 +3131,34 @@ impl SmtMachine {
                 idx = queue.next_of(idx);
             }
         }
-        // Completion calendars vs the windows: every Executing op has
-        // exactly one live entry carrying its current deadline, and
-        // `min_done_at` bounds the earliest of them.
+        // Completion wheels vs the windows: the wheel links exactly the
+        // executing ops, each at its window slot in the bucket of the
+        // cycle it completes in (`done_at`, or now for an op issued last
+        // cycle with zero latency), and `min_done_at` bounds the earliest
+        // deadline.
+        let now = self.cycle;
         for ctx in &self.threads {
-            let mut live: Vec<(u64, u64)> = ctx
-                .calendar
-                .iter()
-                .filter(|&&Reverse((done_at, seq))| ctx.calendar_live(done_at, seq).is_some())
-                .map(|&Reverse((done_at, seq))| (seq, done_at))
-                .collect();
-            live.sort_unstable();
-            let executing: Vec<(u64, u64)> = ctx
-                .window
-                .iter()
-                .filter_map(|op| match op.stage {
-                    Stage::Executing { done_at } => Some((op.seq, done_at)),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(live, executing, "completion calendar drift on {}", ctx.tid);
-            if let Some(earliest) = executing.iter().map(|&(_, d)| d).min() {
+            let mut linked = ctx.calendar.entries();
+            linked.sort_unstable();
+            let mut executing = Vec::new();
+            let mut deadlines = Vec::new();
+            for (i, op) in ctx.window.iter().enumerate() {
+                if let Stage::Executing { done_at } = op.stage {
+                    let due = done_at.max(now);
+                    assert!(
+                        done_at + 1 >= now && due - now < ctx.calendar.buckets() as u64,
+                        "{} seq {} due at {done_at}: overdue or past the wheel at cycle {now}",
+                        ctx.tid,
+                        op.seq
+                    );
+                    let bucket = due as usize & (ctx.calendar.buckets() - 1);
+                    executing.push((bucket, ctx.calendar.slot(ctx.pos(i))));
+                    deadlines.push(done_at);
+                }
+            }
+            executing.sort_unstable();
+            assert_eq!(linked, executing, "completion wheel drift on {}", ctx.tid);
+            if let Some(&earliest) = deadlines.iter().min() {
                 assert!(
                     ctx.min_done_at <= earliest,
                     "min_done_at {} above the earliest live deadline {earliest} on {}",
@@ -2976,6 +3166,46 @@ impl SmtMachine {
                     ctx.tid
                 );
             }
+        }
+        // The dispatch FIFO: each thread's entries, dead ones included,
+        // in fetch (seq) order; every live entry names a front-end op or a
+        // syscall the drain started before dispatch popped it; and every
+        // other front-end op has a live entry.
+        let mut last_seq: Vec<Option<u64>> = vec![None; self.threads.len()];
+        let mut queued = vec![0usize; self.threads.len()];
+        for e in &self.dispatch_fifo {
+            let ti = e.tid.idx();
+            assert!(
+                last_seq[ti].is_none_or(|s| s < e.seq),
+                "dispatch FIFO out of seq order on {}",
+                e.tid
+            );
+            last_seq[ti] = Some(e.seq);
+            if let Some(i) = self.threads[ti].at(e.pos, e.seq) {
+                let op = &self.threads[ti].window[i];
+                if op.uop.kind == OpKind::Syscall {
+                    continue;
+                }
+                assert!(
+                    op.in_front_end(),
+                    "dispatch FIFO names {} seq {} past the front end",
+                    e.tid,
+                    e.seq
+                );
+                queued[ti] += 1;
+            }
+        }
+        for (ctx, &n) in self.threads.iter().zip(&queued) {
+            let front_end = ctx
+                .window
+                .iter()
+                .filter(|op| op.in_front_end() && op.uop.kind != OpKind::Syscall)
+                .count();
+            assert_eq!(
+                n, front_end,
+                "dispatch FIFO misses front-end ops of {}",
+                ctx.tid
+            );
         }
         // Every allocated wake node sits on exactly one producer's chain.
         let mut chained = 0usize;
@@ -3159,7 +3389,9 @@ mod tests {
     }
 
     /// Threads of a mispredict-heavy profile: squashes keep removing
-    /// waiters and executing ops while their producers survive.
+    /// waiters and executing ops while their producers survive. The small
+    /// int IQ keeps the dispatch head stalled often, so squashed entries
+    /// linger in the dispatch FIFO behind it.
     fn branchy_machine(n: usize, seed: u64) -> SmtMachine {
         let p = Arc::new(
             AppProfile::builder("branchy")
@@ -3176,20 +3408,50 @@ mod tests {
                 )
             })
             .collect();
-        SmtMachine::new(SimConfig::with_threads(n), streams)
+        let cfg = SimConfig {
+            int_iq_size: 8,
+            ..SimConfig::with_threads(n)
+        };
+        SmtMachine::new(cfg, streams)
     }
 
-    /// Calendar entries whose op a squash removed.
-    fn stale_calendar_entries(m: &SmtMachine) -> usize {
-        m.threads
+    /// Dispatch-FIFO entries whose op a squash or flush removed.
+    fn dead_fifo_entries(m: &SmtMachine) -> usize {
+        m.dispatch_fifo
             .iter()
-            .map(|c| {
-                c.calendar
-                    .iter()
-                    .filter(|&&Reverse((done_at, seq))| c.calendar_live(done_at, seq).is_none())
-                    .count()
-            })
-            .sum()
+            .filter(|e| m.threads[e.tid.idx()].at(e.pos, e.seq).is_none())
+            .count()
+    }
+
+    #[test]
+    fn wheel_buckets_exceed_the_longest_latency() {
+        let buckets = |cfg: SimConfig| {
+            let streams = (0..cfg.threads).map(|i| stream(1, i)).collect();
+            SmtMachine::new(cfg, streams).threads[0].calendar.buckets()
+        };
+        // The 200-cycle syscall; a 1 + 1 + 10 + 600-cycle load; a
+        // 5,000-cycle syscall.
+        assert_eq!(buckets(SimConfig::with_threads(1)), 256);
+        let long_mem = SimConfig {
+            mem_latency: 600,
+            ..SimConfig::with_threads(1)
+        };
+        assert_eq!(buckets(long_mem), 1024);
+        let long_syscall = SimConfig {
+            syscall_latency: 5_000,
+            ..SimConfig::with_threads(1)
+        };
+        assert_eq!(buckets(long_syscall), 8192);
+        let exact = SimConfig {
+            syscall_latency: 255,
+            ..SimConfig::with_threads(1)
+        };
+        assert_eq!(buckets(exact), 256);
+        let exact = SimConfig {
+            syscall_latency: 256,
+            ..SimConfig::with_threads(1)
+        };
+        assert_eq!(buckets(exact), 512);
     }
 
     #[test]
@@ -3233,29 +3495,31 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig { cases: 12, ..proptest::ProptestConfig::default() })]
 
         /// A snapshot taken while the transient state it drops is
-        /// non-trivial (calendar entries of squashed ops, queued ready
-        /// entries) restores to a machine that continues byte-identically
-        /// to a clone taken at the same cycle.
+        /// non-trivial (dead dispatch-FIFO entries of squashed ops behind
+        /// a stalled head, queued ready entries) restores to a machine
+        /// that continues byte-identically to a clone taken at the same
+        /// cycle.
         #[test]
-        fn restore_with_stale_calendar_and_ready_entries_matches_clone(
-            n in 1usize..5,
+        fn restore_with_dead_fifo_and_ready_entries_matches_clone(
+            n in 2usize..5,
             seed in 0u64..1_000,
             post in 1u64..3_000,
         ) {
             use crate::snapshot::MachineSnapshot;
             let mut live = branchy_machine(n, seed);
             let mut steps = 0;
-            while stale_calendar_entries(&live) == 0
+            while dead_fifo_entries(&live) == 0
                 || live.int_iq.ready_len() + live.fp_iq.ready_len() == 0
             {
                 live.step(&mut RoundRobin);
                 steps += 1;
-                proptest::prop_assert!(steps < 50_000, "no split with stale calendar entries");
+                proptest::prop_assert!(steps < 50_000, "no split with dead dispatch-FIFO entries");
             }
             let mut clone = live.clone();
             let bytes = MachineSnapshot::capture(&live).to_bytes();
             let mut restored = MachineSnapshot::from_bytes(&bytes).expect("decode").restore();
             restored.check_invariants();
+            proptest::prop_assert_eq!(dead_fifo_entries(&restored), 0);
             clone.run(post, &mut RoundRobin);
             restored.run(post, &mut RoundRobin);
             proptest::prop_assert_eq!(clone.counter_snapshot(), restored.counter_snapshot());

@@ -560,10 +560,16 @@ impl MultiCoreSnapshot {
             }
             occupied[c][s] = true;
         }
-        if shared_l2.geometry() != cores[0].config().l2 {
-            return Err(CodecError::Invalid(
-                "shared L2 geometry disagrees with core config".into(),
-            ));
+        // Every core runs on the shared L2, so each core's completion
+        // wheel, sized from its own hierarchy, must cover its latency.
+        for core in &cores {
+            if shared_l2.geometry() != core.config().l2
+                || shared_l2.geometry() != core.mem.l2.geometry()
+            {
+                return Err(CodecError::Invalid(
+                    "shared L2 geometry disagrees with core config".into(),
+                ));
+            }
         }
         for (c, core) in cores.iter_mut().enumerate() {
             core.set_l2_rot(c as u8);

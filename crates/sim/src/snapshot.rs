@@ -267,6 +267,55 @@ mod tests {
     }
 
     #[test]
+    fn queues_encoded_for_other_context_counts_are_errors() {
+        // A fresh 2-thread machine's payload ends in a layout known byte
+        // for byte: the int IQ, fp IQ and LSQ (context count, length 0),
+        // the free registers, both divider reservations, the empty syscall
+        // FIFO, six zero global counters, and the dispatch FIFO (context
+        // count, length 0).
+        let cfg = SimConfig::with_threads(2);
+        let mut tail = ByteWriter::new();
+        for _ in 0..3 {
+            tail.usize(2);
+            tail.usize(0);
+        }
+        tail.usize(cfg.extra_phys_int);
+        tail.usize(cfg.extra_phys_fp);
+        for _ in 0..9 {
+            tail.u64(0);
+        }
+        tail.usize(2);
+        tail.usize(0);
+        let tail = tail.into_bytes();
+        let bytes = MachineSnapshot::capture(&machine(2, 41)).to_bytes();
+        let payload_end = bytes.len() - 8;
+        let tail_start = payload_end - tail.len();
+        assert_eq!(&bytes[tail_start..payload_end], &tail[..], "layout drifted");
+        assert!(MachineSnapshot::from_bytes(&bytes).is_ok());
+        // Claim one context for each queue in turn and restamp the
+        // checksum, so the decoder itself has to reject it.
+        for (offset, queue) in [
+            (0, "int IQ"),
+            (16, "fp IQ"),
+            (32, "LSQ"),
+            (tail.len() - 16, "dispatch FIFO"),
+        ] {
+            let mut bad = bytes.clone();
+            let at = tail_start + offset;
+            bad[at..at + 8].copy_from_slice(&1u64.to_le_bytes());
+            let sum = fnv1a_64(&bad[20..payload_end]);
+            bad[payload_end..].copy_from_slice(&sum.to_le_bytes());
+            match MachineSnapshot::from_bytes(&bad) {
+                Err(CodecError::Invalid(msg)) => assert!(msg.contains(queue), "{queue}: {msg}"),
+                other => panic!(
+                    "{queue} for 1 context: expected Invalid, got {:?}",
+                    other.map(|_| "a machine")
+                ),
+            }
+        }
+    }
+
+    #[test]
     fn trailing_garbage_is_an_error() {
         let mut m = machine(1, 37);
         m.run(200, &mut RoundRobin);

@@ -216,6 +216,99 @@ fn syscall_drains_and_costs_its_latency() {
 }
 
 #[test]
+fn completions_land_on_their_deadlines() {
+    // Every op completes at the `done_at` its Issue event published, and
+    // an op due the cycle it issues (a zero latency) at the next cycle's
+    // completion pass, which comes after this cycle's. Checked on the
+    // default latencies, zero unit latencies, a 600-cycle memory and a
+    // 5,000-cycle syscall (the longest latency sizes the completion wheel
+    // at 256, 256, 1,024 and 8,192 buckets). The syscall drain emits no
+    // Issue event; `syscall_drains_and_costs_its_latency` pins its timing.
+    use smt_sim::TraceEvent;
+    use std::collections::HashMap;
+    let zero_units = SimConfig {
+        lat_int_mul: 0,
+        lat_int_div: 0,
+        lat_fp_alu: 0,
+        lat_fp_mul: 0,
+        lat_fp_div: 0,
+        ..SimConfig::default()
+    };
+    let long_memory = SimConfig {
+        mem_latency: 600,
+        ..SimConfig::default()
+    };
+    let long_syscall = SimConfig {
+        syscall_latency: 5_000,
+        ..SimConfig::default()
+    };
+    let configs = [
+        ("default", SimConfig::default()),
+        ("zero unit latencies", zero_units),
+        ("600-cycle memory", long_memory),
+        ("5,000-cycle syscall", long_syscall),
+    ];
+    for (name, base) in configs {
+        for (mix_id, threads) in [(1, 8), (9, 8), (13, 2)] {
+            let cfg = SimConfig {
+                threads,
+                max_fetch_threads: base.max_fetch_threads.min(threads),
+                ..base.clone()
+            };
+            let streams = smt_workloads::mix(mix_id)
+                .take_threads(threads, 7)
+                .streams(42);
+            let mut m = SmtMachine::new(cfg, streams);
+            let mut issued = HashMap::new();
+            let (mut completed, mut zero_latency) = (0usize, 0usize);
+            for _ in 0..4 {
+                m.enable_trace(1 << 17);
+                m.run(1_500, &mut RoundRobin);
+                let events = m.disable_trace().expect("enabled");
+                assert_eq!(events.dropped(), 0, "trace ring too small");
+                for e in events.events() {
+                    match *e {
+                        TraceEvent::Issue {
+                            cycle,
+                            tid,
+                            seq,
+                            done_at,
+                        } => {
+                            issued.insert((tid, seq), (cycle, done_at));
+                        }
+                        TraceEvent::Complete { cycle, tid, seq } => {
+                            let Some((at, done_at)) = issued.remove(&(tid, seq)) else {
+                                continue; // a drained syscall
+                            };
+                            assert_eq!(
+                                cycle,
+                                done_at.max(at + 1),
+                                "{name}, MIX{mix_id:02}: {tid} seq {seq} issued at {at} \
+                                 due at {done_at}"
+                            );
+                            completed += 1;
+                            zero_latency += usize::from(done_at == at);
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            m.check_invariants();
+            assert!(
+                completed > 100,
+                "{name}, MIX{mix_id:02}: {completed} completions"
+            );
+            if name == "zero unit latencies" && threads == 8 {
+                assert!(
+                    zero_latency > 0,
+                    "{name}, MIX{mix_id:02}: no zero-latency op"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn flush_thread_releases_everything() {
     let script = vec![
         load(0x0, 3, 0x5000),

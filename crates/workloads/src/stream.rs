@@ -171,6 +171,12 @@ pub struct SynthStream {
     /// microtested with exact op sequences.
     script: Option<Vec<MicroOp>>,
     script_pos: usize,
+    /// `(ilp_scale, ln(1 - 1/mean))` of the last dependence-distance draw:
+    /// the log depends only on the phase's ILP scale, so it is computed
+    /// once per phase instead of once per source operand. Transient (not
+    /// serialized) and exact: the memo holds the very `f64` the draw would
+    /// compute.
+    dep_ln: Option<(f64, f64)>,
 }
 
 impl SynthStream {
@@ -234,6 +240,7 @@ impl SynthStream {
             generated: 0,
             script: None,
             script_pos: 0,
+            dep_ln: None,
             profile,
         }
     }
@@ -322,11 +329,19 @@ impl SynthStream {
         if self.rng.gen::<f64>() < indep_frac {
             return None;
         }
-        let mean = (self.profile.mean_dep_dist * ilp_scale).max(1.0);
         // Geometric with mean `mean`: P(d = k) = (1-p)^(k-1) p, p = 1/mean.
-        let p = 1.0 / mean;
+        let ln_q = match self.dep_ln {
+            Some((scale, ln_q)) if scale.to_bits() == ilp_scale.to_bits() => ln_q,
+            _ => {
+                let mean = (self.profile.mean_dep_dist * ilp_scale).max(1.0);
+                let p = 1.0 / mean;
+                let ln_q = (1.0 - p).max(1e-12).ln();
+                self.dep_ln = Some((ilp_scale, ln_q));
+                ln_q
+            }
+        };
         let u: f64 = self.rng.gen::<f64>();
-        let d = 1 + (u.ln() / (1.0 - p).max(1e-12).ln()).floor() as usize;
+        let d = 1 + (u.ln() / ln_q).floor() as usize;
         if d > MAX_DEP_DIST {
             return None;
         }
@@ -460,6 +475,7 @@ impl SynthStream {
             generated: r.u64()?,
             script: Option::decode(r)?,
             script_pos: r.usize()?,
+            dep_ln: None,
         })
     }
 
