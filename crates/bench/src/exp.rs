@@ -46,12 +46,7 @@ pub fn fixed_series(mix: &Mix, policy: FetchPolicy, p: &ExpParams) -> RunSeries 
         key,
         || {
             let mut m = warmed_machine(mix, p);
-            let series = run_fixed(policy, &mut m, p.quanta, p.quantum_cycles);
-            sweep::span::note_skipped_cycles(
-                &format!("fixed {}/{}", mix.name, policy.name()),
-                m.skipped_cycles(),
-            );
-            series
+            run_fixed(policy, &mut m, p.quanta, p.quantum_cycles)
         },
     )
 }
@@ -84,7 +79,6 @@ pub fn adaptive_series_with(
         for _ in 0..p.quanta {
             sched.run_quantum(&mut m);
         }
-        sweep::span::note_skipped_cycles(&point, m.skipped_cycles());
         sched.into_series()
     })
 }

@@ -502,21 +502,6 @@ pub fn note_batch_forks(quantum: u64, forks: &smt_sim::QuantumForks) {
     );
 }
 
-/// Record cycles covered by the event-horizon fast-forward on the
-/// process-wide recorder — the sim→engine bridge for the skip engine,
-/// same seam as [`note_batch_forks`]. Called once per scalar point with
-/// the machine's odometer (machines restore from warm snapshots with the
-/// odometer at zero, so the value is exactly that point's skipped
-/// cycles). No-op when disabled or when nothing was skipped.
-pub fn note_skipped_cycles(point: &str, skipped: u64) {
-    let r = spans();
-    if !r.enabled() || skipped == 0 {
-        return;
-    }
-    r.bump("skipped_cycles", skipped);
-    r.instant(&format!("{point}: {skipped} cycles fast-forwarded"), "skip");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -36,14 +36,6 @@
 //! Groups never merge — once diverged, cells stay apart — so the engine
 //! is intended for runs with few quanta (sweeps restore a warm snapshot
 //! and run a handful of measured quanta).
-//!
-//! Batched stepping composes with the event-horizon fast-forward for
-//! free: each group's quantum executes through `SmtMachine::run` (or the
-//! multi-core equivalent), which skips pure-stall windows internally and
-//! always stops exactly at the quantum boundary — so plan/boundary fork
-//! points land on the same cycles whether skipping is on or off, and the
-//! bit-identity contract that makes group sharing sound is untouched
-//! (pinned by `proptest_skip.rs` alongside the batch conformance suite).
 
 use crate::machine::SmtMachine;
 

@@ -11,14 +11,10 @@
 //! threads is real, which is what the MISSCOUNT-family fetch policies react
 //! to.
 //!
-//! Because an access resolves its *entire* latency at lookup time (the
-//! miss cost is returned as a deadline, not modelled as future cache
-//! traffic), the hierarchy is quiescent between accesses: during a
-//! pure-stall window no thread can issue, so no cache state can change.
-//! That is what lets the machine's event-horizon fast-forward skip over
-//! stall windows without touching — or checkpointing — any cache state,
-//! and what keeps the multi-core shared-L2 arbitration rotation valid
-//! across a skipped window.
+//! An access resolves its *entire* latency at lookup time: the miss cost
+//! is returned as a deadline the issuing op carries to the machine's
+//! completion wheel, not modelled as future cache traffic, so the
+//! hierarchy changes only when an op accesses it.
 
 use crate::config::CacheGeometry;
 use smt_isa::codec::{self, ByteReader, ByteWriter, Codec, CodecError};

@@ -16,7 +16,7 @@
 //! subtraction hardware — the same trick hardware "leaky bucket" counters
 //! use.
 
-use serde::{de_field, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use smt_isa::Tid;
 
 /// Status indicators for one hardware context.
@@ -147,50 +147,12 @@ impl PolicyView {
 /// and external tooling take two snapshots and [`CounterSnapshot::delta`]
 /// them to get per-interval event counts, exactly as the detector thread
 /// does internally per quantum.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct CounterSnapshot {
     /// Machine cycle the snapshot was taken at.
     pub cycle: u64,
     /// One entry per hardware context, indexed by thread id.
     pub threads: Vec<ThreadCounters>,
-    /// Cycles covered by event-horizon fast-forward rather than stepped
-    /// one by one (summed across cores on a multi-core machine). Host
-    /// observability only: the architectural trajectory is bit-identical
-    /// either way, so this field is **excluded** from serialization and
-    /// equality below — committed fixtures and byte-compared snapshots
-    /// stay independent of the skip setting and of how the fast-forward
-    /// chunked the stall windows.
-    pub skipped_cycles: u64,
-}
-
-// Equality is architectural: two snapshots of the same trajectory compare
-// equal no matter how much of either run was fast-forwarded.
-impl PartialEq for CounterSnapshot {
-    fn eq(&self, other: &Self) -> bool {
-        self.cycle == other.cycle && self.threads == other.threads
-    }
-}
-
-// Hand-written to match the derive's output for the architectural fields
-// exactly (declaration-order map), while omitting `skipped_cycles` — see
-// the field doc.
-impl Serialize for CounterSnapshot {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("cycle".into(), self.cycle.to_value()),
-            ("threads".into(), self.threads.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for CounterSnapshot {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        Ok(CounterSnapshot {
-            cycle: de_field(v, "cycle")?,
-            threads: de_field(v, "threads")?,
-            skipped_cycles: 0,
-        })
-    }
 }
 
 impl CounterSnapshot {
@@ -213,7 +175,6 @@ impl CounterSnapshot {
             "snapshots of different machines"
         );
         out.cycle = later.cycle.saturating_sub(self.cycle);
-        out.skipped_cycles = later.skipped_cycles.saturating_sub(self.skipped_cycles);
         out.threads.clear();
         out.threads.extend(
             self.threads
@@ -280,7 +241,6 @@ mod tests {
                 recent_stalls: 8,
                 ..Default::default()
             }],
-            skipped_cycles: 0,
         };
         let late = CounterSnapshot {
             cycle: 300,
@@ -292,7 +252,6 @@ mod tests {
                 recent_stalls: 3,
                 ..Default::default()
             }],
-            skipped_cycles: 0,
         };
         let d = early.delta(&late);
         assert_eq!(d.cycle, 200);
@@ -315,40 +274,10 @@ mod tests {
                 iq_occ: 3,
                 ..Default::default()
             }],
-            skipped_cycles: 0,
         };
         let text = serde::json::to_string(&s);
         let back: CounterSnapshot = serde::json::from_str(&text).unwrap();
         assert_eq!(back, s);
-    }
-
-    #[test]
-    fn skipped_cycles_excluded_from_bytes_and_equality() {
-        let mut a = CounterSnapshot {
-            cycle: 42,
-            threads: vec![ThreadCounters {
-                committed: 7,
-                ..Default::default()
-            }],
-            skipped_cycles: 0,
-        };
-        let mut b = a.clone();
-        b.skipped_cycles = 1_000_000;
-        assert_eq!(a, b, "skip accounting must not affect equality");
-        assert_eq!(
-            serde::json::to_string(&a),
-            serde::json::to_string(&b),
-            "skip accounting must not affect serialized bytes"
-        );
-        let back: CounterSnapshot = serde::json::from_str(&serde::json::to_string(&b)).unwrap();
-        assert_eq!(back.skipped_cycles, 0, "deserialized snapshots start at 0");
-
-        // delta still reports the host-side skip distance.
-        a.skipped_cycles = 300;
-        b.skipped_cycles = 1_000;
-        b.cycle = 100;
-        let d = a.delta(&b);
-        assert_eq!(d.skipped_cycles, 700);
     }
 
     #[test]

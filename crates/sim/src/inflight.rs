@@ -12,15 +12,11 @@
 //! probes, relative to the front and to the back of the window, and a
 //! binary search only for an op between two gaps.
 //!
-//! The [`Stage::Executing`] `done_at` deadlines recorded here are one of
-//! the event sources the machine's event-horizon fast-forward
-//! (`SmtMachine::stall_horizon`) is computed from: a long-latency op
-//! publishes its completion cycle the moment it issues, so the machine
-//! knows — without stepping — the first future cycle at which anything
-//! can complete (tracked incrementally as the per-thread `min_done_at`
-//! lower bound). The same deadline files the op on its thread's
-//! `CompletionWheel`, so `complete` finds the ops due this cycle without
-//! looking at any other op.
+//! A long-latency op publishes its [`Stage::Executing`] `done_at`
+//! deadline the moment it issues. The deadline files the op on its
+//! thread's `CompletionWheel`, so `complete` finds the ops due this cycle
+//! without looking at any other op, and lowers the per-thread
+//! `min_done_at` bound, so `complete` skips a thread with nothing due.
 
 use smt_isa::codec::{ByteReader, ByteWriter, Codec, CodecError};
 use smt_isa::MicroOp;

@@ -142,8 +142,8 @@ struct ThreadCtx {
     /// Lower bound on the earliest `done_at` among this thread's Executing
     /// ops: exact after each completion pass (`u64::MAX` when none is
     /// left), lowered by every issue, never raised by a squash. Gates
-    /// `complete` and feeds the skip horizon; staleness on the low side
-    /// only costs a fruitless pass, never a missed completion.
+    /// `complete`: staleness on the low side only costs a fruitless pass,
+    /// never a missed completion.
     min_done_at: u64,
     /// Completion calendar: a timing wheel holding exactly the executing
     /// ops, each linked by its window slot into the bucket of the cycle
@@ -323,7 +323,7 @@ impl ThreadCtx {
             last_seq = Some(op.seq);
             window.push_back(op);
         }
-        Ok(ThreadCtx {
+        let ctx = ThreadCtx {
             tid,
             stream,
             wp_gen,
@@ -342,7 +342,55 @@ impl ThreadCtx {
             counters: codec::decode_json(r)?,
             // Filled by `rebuild_wake_state` once the machine is decoded.
             calendar: CompletionWheel::new(wheel_buckets, wheel_slots(cfg)),
-        })
+        };
+        // The stages decrement these gauges without checking for
+        // underflow, so a leaf that disagrees with the window is corrupt.
+        if let Some((gauge, kept, counted)) = ctx.gauge_drift() {
+            return Err(CodecError::Invalid(format!(
+                "{tid} {gauge} gauge {kept} disagrees with its window's {counted}"
+            )));
+        }
+        Ok(ctx)
+    }
+
+    /// The first of the six gauges a thread's counters derive from its
+    /// window (front end, IQ, in-flight branches, loads and memory ops,
+    /// outstanding D-misses) whose maintained value disagrees with a
+    /// recount of the window: `(name, maintained, recounted)`.
+    fn gauge_drift(&self) -> Option<(&'static str, u32, u32)> {
+        let (mut fe, mut iq, mut brs, mut lds, mut mems, mut dmiss) = (0, 0, 0, 0, 0, 0);
+        for op in &self.window {
+            match op.stage {
+                Stage::FrontEnd { .. } => fe += 1,
+                Stage::Queued => iq += 1,
+                Stage::Executing { .. } if op.dmiss => dmiss += 1,
+                _ => {}
+            }
+            if !op.is_done() {
+                if op.uop.is_cond_branch() {
+                    brs += 1;
+                }
+                match op.uop.kind {
+                    OpKind::Load => {
+                        lds += 1;
+                        mems += 1;
+                    }
+                    OpKind::Store => mems += 1,
+                    _ => {}
+                }
+            }
+        }
+        let c = &self.counters;
+        [
+            ("front_end_occ", c.front_end_occ, fe),
+            ("iq_occ", c.iq_occ, iq),
+            ("inflight_branches", c.inflight_branches, brs),
+            ("inflight_loads", c.inflight_loads, lds),
+            ("inflight_mem", c.inflight_mem, mems),
+            ("outstanding_dmiss", c.outstanding_dmiss, dmiss),
+        ]
+        .into_iter()
+        .find(|&(_, kept, counted)| kept != counted)
     }
 
     /// Window index of the op at position `pos`, if it is still the op
@@ -368,11 +416,6 @@ impl ThreadCtx {
             && self.redirect_stall_until <= cycle
             && self.window.len() < cfg.rob_per_thread
             && (self.counters.front_end_occ as usize) < cfg.fetch_buffer_per_thread
-    }
-
-    /// Would this thread like to fetch but is structurally blocked?
-    fn fetch_blocked(&self, cycle: u64, cfg: &SimConfig) -> bool {
-        self.fetch_enabled && !self.fetchable(cycle, cfg)
     }
 
     /// Start window op `i` executing until `done_at` in cycle `now`,
@@ -467,38 +510,15 @@ pub struct SmtMachine {
     ///
     /// Squash and flush leave their victims' entries in place. An entry
     /// is live while [`ThreadCtx::at`] finds its op; dispatch pops a dead
-    /// one at the head as a free bubble (no budget, no step work), the
-    /// skip engine looks past dead entries to the first live one, and
-    /// the codec writes only live entries, so a snapshot holds exactly
-    /// the ops still waiting to leave the decode pipe.
+    /// one at the head as a free bubble (no budget), and the codec writes
+    /// only live entries, so a snapshot holds exactly the ops still
+    /// waiting to leave the decode pipe.
     dispatch_fifo: VecDeque<FifoEntry>,
     /// Producer-completion wake chains backing the issue stage's
     /// `pending` readiness counters. Transient acceleration state:
     /// cloned with the machine (slab indices are preserved by `Clone`),
     /// never serialized (rebuilt after decode).
     wake: WakeArena,
-    /// Event-horizon fast-forward switch: when set, [`SmtMachine::run`]
-    /// skips pure-stall cycles to the next cycle any architectural state
-    /// can change ([`SmtMachine::stall_horizon`]). Host-side acceleration
-    /// state like `l2_rot`/`wake`: never serialized, on after construction
-    /// and decode, and guaranteed not to change what is simulated —
-    /// pinned by the golden suites and `tests/proptest_skip.rs`.
-    skip_enabled: bool,
-    /// Cycles advanced by [`SmtMachine::skip_cycles`] windows instead of
-    /// per-cycle stepping. Pure host observability (how much of the run
-    /// was fast-forwarded), exported via
-    /// [`CounterSnapshot::skipped_cycles`]; transient like `l2_rot` —
-    /// never serialized, reset on decode — so snapshot bytes stay
-    /// independent of the skip setting.
-    skipped_cycles: u64,
-    /// Ops the stages moved in the last stepped cycle: completed, retired,
-    /// issued, popped from the dispatch FIFO, fetched. Zero means that
-    /// cycle was a pure stall, so the skip gate pays for a full
-    /// [`SmtMachine::stall_horizon`] scan. Purely a performance heuristic
-    /// — the scan stays the sole authority on whether skipping is sound —
-    /// and transient like `skipped_cycles`: never serialized, reset on
-    /// decode.
-    step_work: u32,
     /// Scratch for `complete`'s due window indices; empty between cycles.
     due_buf: Vec<usize>,
 }
@@ -563,9 +583,6 @@ impl SmtMachine {
             l2_rot: 0,
             dispatch_fifo: VecDeque::with_capacity(64),
             wake: WakeArena::default(),
-            skip_enabled: true,
-            skipped_cycles: 0,
-            step_work: 0,
             due_buf: Vec::new(),
             cycle: 0,
             cfg,
@@ -727,9 +744,6 @@ impl SmtMachine {
             attr: None,
             l2_rot: 0,
             wake: WakeArena::default(),
-            skip_enabled: true,
-            skipped_cycles: 0,
-            step_work: 0,
             due_buf: Vec::new(),
             cfg,
             cycle,
@@ -872,7 +886,6 @@ impl SmtMachine {
     /// the first call the thread vector is warm and nothing allocates.
     pub fn counter_snapshot_into(&self, out: &mut CounterSnapshot) {
         out.cycle = self.cycle;
-        out.skipped_cycles = self.skipped_cycles;
         out.threads
             .resize(self.threads.len(), ThreadCounters::default());
         for (dst, src) in out.threads.iter_mut().zip(&self.threads) {
@@ -880,25 +893,10 @@ impl SmtMachine {
         }
     }
 
-    /// Is event-horizon cycle skipping active on this machine?
-    pub fn skip_enabled(&self) -> bool {
-        self.skip_enabled
-    }
-
-    /// Turn event-horizon cycle skipping on (the default) or off. Skipping
-    /// is a pure host-side acceleration: both settings simulate
-    /// bit-identically; off forces [`SmtMachine::run`] back to
-    /// cycle-by-cycle stepping, the reference `tests/proptest_skip.rs`
-    /// compares skipping against.
-    pub fn set_skip_enabled(&mut self, enabled: bool) {
-        self.skip_enabled = enabled;
-    }
-
-    /// Cycles this machine advanced through skip windows instead of
-    /// stepping (0 with skipping disabled). Host observability only —
-    /// not architectural state, not serialized.
+    /// Always 0: every cycle is stepped. Kept only because the benchmark
+    /// harness still reads it; the next change to the benchmark removes it.
     pub fn skipped_cycles(&self) -> u64 {
-        self.skipped_cycles
+        0
     }
 
     /// Committed instructions across all threads.
@@ -1067,50 +1065,23 @@ impl SmtMachine {
         }
     }
 
-    /// Run `cycles` cycles. The instrumentation check is hoisted out of
-    /// the loop: with tracing and attribution off (every sweep and bench)
-    /// the whole quantum runs in the uninstrumented monomorphization, with
-    /// no per-event branches anywhere in the pipeline.
-    ///
-    /// With [`SmtMachine::skip_enabled`] (the default), pure-stall cycles
-    /// — cycles in which no thread can fetch, dispatch, issue, complete
-    /// or commit — are fast-forwarded in one [`SmtMachine::skip_cycles`]
-    /// application instead of being stepped one by one. The run is
-    /// bit-identical either way; skipping never crosses the `cycles`
-    /// bound, so quantum boundaries (snapshots, batch fork points, policy
-    /// switches) land on exactly the same cycles.
+    /// Run `cycles` cycles, one [`Self::step`] each. The instrumentation
+    /// check is hoisted out of the loop: with tracing and attribution off
+    /// (every sweep and bench) the whole quantum runs in the
+    /// uninstrumented monomorphization, with no per-event branches
+    /// anywhere in the pipeline.
     pub fn run<C: FetchChooser>(&mut self, cycles: u64, chooser: &mut C) {
-        let end = self.cycle + cycles;
         if self.instrumented() {
-            self.run_impl::<C, true>(end, chooser);
+            self.run_impl::<C, true>(cycles, chooser);
         } else {
-            self.run_impl::<C, false>(end, chooser);
+            self.run_impl::<C, false>(cycles, chooser);
         }
     }
 
-    fn run_impl<C: FetchChooser, const TRACE: bool>(&mut self, end: u64, chooser: &mut C) {
-        while self.cycle < end {
-            // The full horizon scan is only worth paying when the last
-            // stepped cycle demonstrably did nothing; an active pipeline
-            // moves ops every cycle and never pays it.
-            if self.skip_enabled && self.idle_since_last_step() {
-                if let Some(horizon) = self.stall_horizon() {
-                    // `stall_horizon` only yields cycles strictly ahead of
-                    // `self.cycle`, so the window is never empty.
-                    let k = horizon.min(end) - self.cycle;
-                    self.skip_cycles(k);
-                    continue;
-                }
-            }
+    fn run_impl<C: FetchChooser, const TRACE: bool>(&mut self, cycles: u64, chooser: &mut C) {
+        for _ in 0..cycles {
             self.step_impl::<C, TRACE>(chooser);
         }
-    }
-
-    /// Did the last stepped cycle move no op through any stage? (The skip
-    /// gate; see the `step_work` field.)
-    #[inline]
-    pub(crate) fn idle_since_last_step(&self) -> bool {
-        self.step_work == 0
     }
 
     /// One cycle, monomorphized on whether any instrumentation (event
@@ -1120,7 +1091,6 @@ impl SmtMachine {
     /// checks `self.attr`, so either can be on without the other.
     fn step_impl<C: FetchChooser, const TRACE: bool>(&mut self, chooser: &mut C) {
         debug_assert_eq!(TRACE, self.instrumented());
-        self.step_work = 0;
         if TRACE {
             self.attr_begin_cycle();
         }
@@ -1130,429 +1100,6 @@ impl SmtMachine {
         self.dispatch::<TRACE>();
         self.fetch::<C, TRACE>(chooser);
         self.end_cycle();
-    }
-
-    // ------------------------------------------------------------------
-    // event-horizon fast-forward
-    // ------------------------------------------------------------------
-    //
-    // A *pure-stall cycle* is one in which no stage can act: nothing
-    // completes or commits, no queue entry can obtain a unit, the
-    // dispatch head is stalled, and no thread is fetchable. Every effect
-    // such a cycle has on the machine is a closed-form function of the
-    // frozen state (stall accounting, decay, the LSQ-full charges, slot
-    // attribution), so a maximal window of them can be applied in one
-    // `skip_cycles` call. `stall_horizon` computes the window end: the
-    // earliest cycle at which any state the pipeline consults can change
-    // — in-flight completion deadlines (`min_done_at`), front-end
-    // `ready_at`, divider reservations, and the per-thread
-    // icache/redirect/migration stall expiries. Every deadline is state
-    // the machine already tracks (the load-delay-tracking observation:
-    // long-latency events publish their deadlines when they begin), so
-    // the check is O(threads + queue entries) and allocation-free.
-
-    /// If the current cycle is a pure-stall cycle, the earliest future
-    /// cycle at which any architectural state can change (`u64::MAX`
-    /// when nothing is in flight at all, e.g. every context parked);
-    /// `None` if some stage can act this cycle and stepping must proceed.
-    pub(crate) fn stall_horizon(&self) -> Option<u64> {
-        let now = self.cycle;
-        let mut horizon = u64::MAX;
-        let drain = !self.pending_syscalls.is_empty();
-
-        // Complete / commit: any completion due now means work; any Done
-        // window head would retire. `min_done_at` is a conservative lower
-        // bound, so treating it as the horizon can only land the machine
-        // on a cycle where the per-cycle path would (identically) run a
-        // fruitless rescan — never skip past a completion.
-        for ctx in &self.threads {
-            if ctx.min_done_at <= now {
-                return None;
-            }
-            horizon = horizon.min(ctx.min_done_at);
-            if let Some(head) = ctx.window.front() {
-                if head.is_done() {
-                    return None;
-                }
-            }
-        }
-
-        // Drained-syscall execution fires the cycle nothing but the
-        // pending syscalls remains in flight; every term is frozen during
-        // a stall window, so it either fires now or not within it.
-        if let Some(&q) = self.pending_syscalls.front() {
-            if self.total_inflight() == self.pending_syscalls.len() {
-                let ctx = &self.threads[q.tid.idx()];
-                if let Some(i) = find_seq(&ctx.window, q.seq) {
-                    if ctx.window[i].in_front_end() {
-                        return None;
-                    }
-                }
-            }
-        }
-
-        // Issue: per-cycle unit/port budgets reset every cycle, so any
-        // ready-list entry issues now — except divides gated by a busy
-        // divider, whose release cycle is a horizon candidate.
-        let mut idx = self.int_iq.first_ready();
-        while idx != NIL {
-            match self.int_iq.payload(idx).kind {
-                OpKind::IntDiv => {
-                    if self.cfg.int_alus > 0 {
-                        if self.int_div_free_at <= now {
-                            return None;
-                        }
-                        horizon = horizon.min(self.int_div_free_at);
-                    }
-                }
-                OpKind::Load | OpKind::Store => {
-                    if self.cfg.ldst_ports > 0 {
-                        return None;
-                    }
-                }
-                // Handled by the drain path, never issued from here.
-                OpKind::Syscall => {}
-                _ => {
-                    if self.cfg.int_alus > 0 {
-                        return None;
-                    }
-                }
-            }
-            idx = self.int_iq.next_ready(idx);
-        }
-        if self.cfg.fp_units > 0 {
-            let mut idx = self.fp_iq.first_ready();
-            while idx != NIL {
-                if self.fp_iq.payload(idx).kind != OpKind::FpDiv || self.fp_div_free_at <= now {
-                    return None;
-                }
-                horizon = horizon.min(self.fp_div_free_at);
-                idx = self.fp_iq.next_ready(idx);
-            }
-        }
-
-        // Dispatch consumes strictly from the FIFO head. Dead entries
-        // ahead of the first live one are free bubbles, not work, so the
-        // head is that first live entry: popping a syscall is a state
-        // change; a head still in the decode pipe publishes its
-        // `ready_at` as a deadline; a ready head that clears every
-        // structural hazard would dispatch. A ready head *blocked* by a
-        // hazard pins the front end until an issue or commit frees the
-        // resource — event-driven, already covered by the completion
-        // deadlines above.
-        if self.cfg.dispatch_width > 0 {
-            if let Some((ti, i)) = self.fifo_head() {
-                let op = &self.threads[ti].window[i];
-                match op.stage {
-                    Stage::FrontEnd { ready_at } if ready_at <= now => {
-                        let kind = op.uop.kind;
-                        if kind == OpKind::Syscall {
-                            return None; // popped into the window
-                        }
-                        let iq_full = if kind.is_fp() {
-                            self.fp_iq.len() >= self.cfg.fp_iq_size
-                        } else {
-                            self.int_iq.len() >= self.cfg.int_iq_size
-                        };
-                        if !iq_full {
-                            if kind.is_mem() && self.lsq.len() >= self.cfg.lsq_size {
-                                // Stalled on the full LSQ: a pure stall,
-                                // but one that charges the head thread's
-                                // `lsq_full_cycles` per cycle —
-                                // `skip_cycles` replays the charge in bulk.
-                            } else {
-                                let blocked_on_regs = match op.uop.dst {
-                                    Some(d) => {
-                                        let free = match d.class {
-                                            RegClass::Int => self.free_int_regs,
-                                            RegClass::Fp => self.free_fp_regs,
-                                        };
-                                        free == 0
-                                    }
-                                    None => false,
-                                };
-                                if !blocked_on_regs {
-                                    return None; // would dispatch
-                                }
-                            }
-                        }
-                    }
-                    Stage::FrontEnd { ready_at } => {
-                        horizon = horizon.min(ready_at);
-                    }
-                    // A syscall the drain started before dispatch popped
-                    // it: dispatch stalls on it until it retires.
-                    _ => {}
-                }
-            }
-        }
-
-        // Fetch: a fetchable thread fetches (the machine-wide drain
-        // suppresses fetch entirely, so fetchability is moot then). A
-        // thread blocked *only* by timed stalls becomes fetchable at
-        // their expiry; one also blocked structurally (full window or
-        // fetch buffer) unblocks via commit/dispatch events instead.
-        if !drain {
-            for ctx in &self.threads {
-                if !ctx.fetch_enabled {
-                    continue;
-                }
-                if ctx.fetchable(now, &self.cfg) {
-                    return None;
-                }
-                if ctx.window.len() < self.cfg.rob_per_thread
-                    && (ctx.counters.front_end_occ as usize) < self.cfg.fetch_buffer_per_thread
-                {
-                    let expiry = ctx
-                        .migration_stall_until
-                        .max(ctx.icache_stall_until)
-                        .max(ctx.redirect_stall_until);
-                    debug_assert!(expiry > now, "unstalled thread classified unfetchable");
-                    horizon = horizon.min(expiry);
-                }
-            }
-        }
-
-        // With attribution live, the skipped cycles' slot causes must
-        // also be constant across the window: cap it at *every* timed
-        // stall expiry, so `> now` classifications (migration vs L1I vs
-        // redirect vs ROB-full, squash-drain vs empty) cannot flip
-        // mid-window. Purely a window-length cap — uninstrumented runs
-        // skip further in one go, with identical architectural effect.
-        if self.attr.is_some() {
-            for ctx in &self.threads {
-                for expiry in [
-                    ctx.icache_stall_until,
-                    ctx.redirect_stall_until,
-                    ctx.migration_stall_until,
-                ] {
-                    if expiry > now {
-                        horizon = horizon.min(expiry);
-                    }
-                }
-            }
-        }
-
-        debug_assert!(horizon > now);
-        Some(horizon)
-    }
-
-    /// Fast-forward `k` cycles of a pure-stall window (the caller has
-    /// established via [`SmtMachine::stall_horizon`] that no stage can
-    /// act before `self.cycle + k`), applying exactly the per-cycle
-    /// effects cycle-by-cycle stepping would have produced: the issue
-    /// walk's `deps_done` memoization, LSQ-full charges, stall
-    /// accounting with decay interleaved at period boundaries, and the
-    /// closed-form slot attribution.
-    pub(crate) fn skip_cycles(&mut self, k: u64) {
-        debug_assert!(k >= 1);
-        let now = self.cycle;
-        let end = now + k;
-        let drain = !self.pending_syscalls.is_empty();
-
-        // The first skipped cycle's issue walk visits every ready entry
-        // (nothing issues, so the budget never runs out) and memoizes
-        // `deps_done` on each — try_issue marks the memo *before*
-        // discovering the unit is busy. `deps_done` is serialized state,
-        // so replay it or snapshots would diverge.
-        if self.cfg.issue_width > 0 {
-            let mut idx = self.int_iq.first_ready();
-            while idx != NIL {
-                self.int_iq.payload_mut(idx).deps_done = true;
-                idx = self.int_iq.next_ready(idx);
-            }
-            if self.cfg.fp_units > 0 {
-                let mut idx = self.fp_iq.first_ready();
-                while idx != NIL {
-                    self.fp_iq.payload_mut(idx).deps_done = true;
-                    idx = self.fp_iq.next_ready(idx);
-                }
-            }
-        }
-
-        // A dispatch head ready but blocked solely by the full LSQ
-        // charges its thread every cycle (dispatch's hazard order:
-        // IQ-full stalls silently first, register pressure after).
-        if self.cfg.dispatch_width > 0 {
-            if let Some(ti) = self.dispatch_head_lsq_blocked(now) {
-                self.threads[ti].counters.lsq_full_cycles += k;
-            }
-        }
-
-        if self.lsq.len() >= self.cfg.lsq_size {
-            self.global.lsq_full_cycles += k;
-        }
-        if drain {
-            self.global.syscall_drain_cycles += k;
-        }
-
-        // Per-thread stall accounting, with the periodic decay applied
-        // at exactly the cycles `end_cycle` would have: segment the
-        // window at decay boundaries (increment-then-halve order within
-        // a cycle, decay when the post-increment cycle count is a
-        // multiple of the period).
-        let period = self.cfg.decay_period;
-        let mut c = now;
-        while c < end {
-            let boundary = (c / period + 1) * period;
-            let seg_end = boundary.min(end);
-            let seg = seg_end - c;
-            for ti in 0..self.threads.len() {
-                let accrues = {
-                    let ctx = &self.threads[ti];
-                    ctx.fetch_enabled && (drain || ctx.fetch_blocked(now, &self.cfg))
-                };
-                let ctx = &mut self.threads[ti];
-                if accrues {
-                    ctx.counters.fetch_stall_cycles += seg;
-                    ctx.counters.recent_stalls += seg;
-                }
-                if seg_end == boundary {
-                    ctx.counters.decay();
-                }
-            }
-            c = seg_end;
-        }
-
-        if self.attr.is_some() {
-            self.skip_attr(now, k, drain);
-        }
-
-        self.cycle = end;
-        self.global.cycles = end;
-        self.skipped_cycles += k;
-    }
-
-    /// Thread and window index of the op behind the first live
-    /// dispatch-FIFO entry — the head dispatch will act on once it has
-    /// popped the dead entries ahead of it.
-    fn fifo_head(&self) -> Option<(usize, usize)> {
-        self.dispatch_fifo.iter().find_map(|e| {
-            let ti = e.tid.idx();
-            self.threads[ti].at(e.pos, e.seq).map(|i| (ti, i))
-        })
-    }
-
-    /// Is the dispatch head a ready op whose only structural hazard is
-    /// the full LSQ? Mirrors the hazard cascade in
-    /// [`SmtMachine::dispatch`] without side effects.
-    fn dispatch_head_lsq_blocked(&self, now: u64) -> Option<usize> {
-        let (ti, i) = self.fifo_head()?;
-        let op = &self.threads[ti].window[i];
-        match op.stage {
-            Stage::FrontEnd { ready_at } if ready_at <= now => {}
-            _ => return None,
-        }
-        let kind = op.uop.kind;
-        if kind == OpKind::Syscall {
-            return None; // unreachable in a stall window; dispatch pops it
-        }
-        let iq_full = if kind.is_fp() {
-            self.fp_iq.len() >= self.cfg.fp_iq_size
-        } else {
-            self.int_iq.len() >= self.cfg.int_iq_size
-        };
-        if iq_full {
-            return None;
-        }
-        (kind.is_mem() && self.lsq.len() >= self.cfg.lsq_size).then_some(ti)
-    }
-
-    /// Closed-form slot attribution for a skipped window of `k` pure
-    /// stall cycles starting at `now`: zero slots are used at any stage,
-    /// each thread's blocking cause is constant (the horizon is capped
-    /// at every stall expiry while attributing), and the per-cycle
-    /// round-robin distributions aggregate by counting how many window
-    /// cycles start each rotation phase. Conservation is preserved
-    /// exactly: every stage distributes `width × k` slots.
-    fn skip_attr(&mut self, now: u64, k: u64, drain: bool) {
-        let Some(mut attr) = self.attr.take() else {
-            return;
-        };
-        let n = self.threads.len();
-        let n64 = n as u64;
-        attr.cycles += k;
-        // phase_cycles[r] = window cycles whose round-robin start is r.
-        let mut phase_cycles = vec![0u64; n];
-        for (r, count) in phase_cycles.iter_mut().enumerate() {
-            let r = r as u64;
-            let first = now + (r + n64 - now % n64) % n64;
-            if first < now + k {
-                *count = (now + k - first - 1) / n64 + 1;
-            }
-        }
-        // Slots thread `t` receives when `width` slots/cycle are dealt
-        // round-robin from each cycle's phase: slot j of a phase-r cycle
-        // lands on (r + j) mod n.
-        let slots_for = |t: usize, width: usize| -> u64 {
-            (0..width).map(|j| phase_cycles[(t + n - j % n) % n]).sum()
-        };
-
-        for (t, ctx) in self.threads.iter().enumerate() {
-            let cause = match ctx.window.front() {
-                None if ctx.redirect_stall_until > now => CommitCause::SquashDrain,
-                None => CommitCause::Empty,
-                Some(head) => {
-                    if head.dmiss && matches!(head.stage, Stage::Executing { .. }) {
-                        CommitCause::DataMiss
-                    } else {
-                        CommitCause::NotReady
-                    }
-                }
-            };
-            attr.stacks[t].commit[cause as usize] += slots_for(t, self.cfg.commit_width);
-        }
-
-        // Issue: the per-cycle walk blames leftover queue entries in age
-        // order; queues are frozen, so each of the first `issue_width`
-        // entries soaks one slot per cycle — k over the window.
-        let mut lost = self.cfg.issue_width;
-        for queue in [&self.int_iq, &self.fp_iq] {
-            let mut idx = queue.first();
-            while idx != NIL && lost > 0 {
-                let (tid, _) = queue.key(idx);
-                let d = queue.payload(idx);
-                let cause = if !d.deps_done && d.pending != 0 {
-                    IssueCause::DepsNotReady
-                } else {
-                    IssueCause::FuBusy
-                };
-                attr.stacks[tid.idx()].issue[cause as usize] += k;
-                lost -= 1;
-                idx = queue.next_of(idx);
-            }
-        }
-        let empty = if drain {
-            IssueCause::Drain
-        } else {
-            IssueCause::IqEmpty
-        };
-        for t in 0..n {
-            attr.stacks[t].issue[empty as usize] += slots_for(t, lost);
-        }
-
-        for (t, ctx) in self.threads.iter().enumerate() {
-            let cause = if drain {
-                FetchCause::Drain
-            } else if !ctx.fetch_enabled {
-                FetchCause::PolicyStarved
-            } else if ctx.migration_stall_until > now {
-                FetchCause::Migration
-            } else if ctx.icache_stall_until > now {
-                FetchCause::L1iMiss
-            } else if ctx.redirect_stall_until > now {
-                FetchCause::Redirect
-            } else if ctx.window.len() >= self.cfg.rob_per_thread {
-                FetchCause::RobFull
-            } else if (ctx.counters.front_end_occ as usize) >= self.cfg.fetch_buffer_per_thread {
-                FetchCause::FrontEndFull
-            } else {
-                FetchCause::PolicyStarved
-            };
-            attr.stacks[t].fetch[cause as usize] += slots_for(t, self.cfg.fetch_width);
-        }
-
-        self.attr = Some(attr);
     }
 
     // ------------------------------------------------------------------
@@ -1584,7 +1131,6 @@ impl SmtMachine {
                 slot = ctx.calendar.next_of(slot);
             }
             due.sort_unstable();
-            self.step_work += due.len() as u32;
             for &i in &due {
                 let op = &mut ctx.window[i];
                 debug_assert!(
@@ -1859,7 +1405,6 @@ impl SmtMachine {
             }
             ti = if ti + 1 == n { 0 } else { ti + 1 };
         }
-        self.step_work += (self.cfg.commit_width - budget) as u32;
         if TRACE {
             self.attr_commit(budget);
         }
@@ -1937,7 +1482,6 @@ impl SmtMachine {
                     if ctx.window[i].in_front_end() {
                         ctx.start_executing(i, now, now + self.cfg.syscall_latency);
                         ctx.counters.front_end_occ -= 1;
-                        self.step_work += 1;
                     }
                 }
             }
@@ -1973,7 +1517,6 @@ impl SmtMachine {
             }
             idx = next;
         }
-        self.step_work += (self.cfg.issue_width - budget) as u32;
         if TRACE {
             self.attr_issue_end(budget);
         }
@@ -2236,7 +1779,6 @@ impl SmtMachine {
     fn dispatch<const TRACE: bool>(&mut self) {
         let now = self.cycle;
         let mut budget = self.cfg.dispatch_width;
-        let mut popped = 0u32;
         while budget > 0 {
             let Some(&FifoEntry { tid, pos, seq }) = self.dispatch_fifo.front() else {
                 break;
@@ -2259,7 +1801,6 @@ impl SmtMachine {
                 // Syscalls hold no queue resources; they leave the decode
                 // pipe and wait in the window for the machine-wide drain.
                 self.dispatch_fifo.pop_front();
-                popped += 1;
                 continue;
             }
             // Structural hazards stall the whole in-order front end.
@@ -2355,7 +1896,6 @@ impl SmtMachine {
                 );
             }
             self.dispatch_fifo.pop_front();
-            popped += 1;
             if TRACE {
                 self.trace_push(TraceEvent::Dispatch {
                     cycle: now,
@@ -2365,9 +1905,6 @@ impl SmtMachine {
             }
             budget -= 1;
         }
-        // Every live pop (dispatch, syscall) is work. A bubble is not: the
-        // skip gate must not depend on when dead entries surface.
-        self.step_work += popped;
     }
 
     // ------------------------------------------------------------------
@@ -2411,7 +1948,6 @@ impl SmtMachine {
             remaining -= self.fetch_thread::<TRACE>(v.tid, remaining);
         }
         self.view_buf = views;
-        self.step_work += (self.cfg.fetch_width - remaining) as u32;
         if TRACE {
             self.attr_fetch(remaining, false);
         }
@@ -3002,72 +2538,30 @@ impl SmtMachine {
         let mut int_q = 0usize;
         let mut fp_q = 0usize;
         for ctx in &self.threads {
-            let mut fe = 0u32;
-            let mut iq = 0u32;
             let mut int_q_t = 0usize;
             let mut fp_q_t = 0usize;
-            let mut brs = 0u32;
-            let mut lds = 0u32;
-            let mut mems = 0u32;
-            let mut dmiss = 0u32;
             let mut prev_seq: Option<u64> = None;
             for op in &ctx.window {
                 if let Some(p) = prev_seq {
                     assert!(op.seq > p, "window out of order for {}", ctx.tid);
                 }
                 prev_seq = Some(op.seq);
-                match op.stage {
-                    Stage::FrontEnd { .. } => fe += 1,
-                    Stage::Queued => {
-                        iq += 1;
-                        if op.uop.kind.is_fp() {
-                            fp_q += 1;
-                            fp_q_t += 1;
-                        } else {
-                            int_q += 1;
-                            int_q_t += 1;
-                        }
-                    }
-                    Stage::Executing { .. } => {
-                        if op.dmiss {
-                            dmiss += 1;
-                        }
-                    }
-                    Stage::Done => {}
-                }
-                if !op.is_done() {
-                    if op.uop.is_cond_branch() {
-                        brs += 1;
-                    }
-                    match op.uop.kind {
-                        OpKind::Load => {
-                            lds += 1;
-                            mems += 1;
-                        }
-                        OpKind::Store => mems += 1,
-                        _ => {}
+                if op.stage == Stage::Queued {
+                    if op.uop.kind.is_fp() {
+                        fp_q_t += 1;
+                    } else {
+                        int_q_t += 1;
                     }
                 }
             }
-            let c = &ctx.counters;
-            assert_eq!(
-                c.front_end_occ, fe,
-                "front_end_occ gauge drift on {}",
-                ctx.tid
-            );
-            assert_eq!(c.iq_occ, iq, "iq_occ gauge drift on {}", ctx.tid);
-            assert_eq!(
-                c.inflight_branches, brs,
-                "branch gauge drift on {}",
-                ctx.tid
-            );
-            assert_eq!(c.inflight_loads, lds, "load gauge drift on {}", ctx.tid);
-            assert_eq!(c.inflight_mem, mems, "mem gauge drift on {}", ctx.tid);
-            assert_eq!(
-                c.outstanding_dmiss, dmiss,
-                "dmiss gauge drift on {}",
-                ctx.tid
-            );
+            int_q += int_q_t;
+            fp_q += fp_q_t;
+            if let Some((gauge, kept, counted)) = ctx.gauge_drift() {
+                panic!(
+                    "{gauge} gauge drift on {}: {kept} maintained, {counted} in the window",
+                    ctx.tid
+                );
+            }
             assert_eq!(
                 self.int_iq.thread_len(ctx.tid),
                 int_q_t,

@@ -124,52 +124,11 @@ impl MultiCoreMachine {
         }
     }
 
-    /// Run `cycles` cycles, fast-forwarding machine-wide stall windows.
-    ///
-    /// When **every** core reports a stall horizon (no core can fetch,
-    /// issue, complete, or commit this cycle), all cores skip together by
-    /// the minimum horizon, keeping them in lockstep. No core touches the
-    /// shared L2 during a pure-stall window — all memory-system activity
-    /// happens at issue/complete, and both are quiescent by construction
-    /// — so the rotation-based arbitration order is vacuously preserved
-    /// across the skip and the next stepped cycle arbitrates exactly as
-    /// it would have cycle-by-cycle. (Each core's `l2_rot` is a static
-    /// trace stamp of its rotation position, not a moving pointer, so
-    /// there is nothing to advance.)
+    /// Run `cycles` cycles, one [`step`](Self::step) each.
     pub fn run<C: FetchChooser>(&mut self, cycles: u64, choosers: &mut [C]) {
         assert_eq!(choosers.len(), self.cores.len(), "one chooser per core");
-        let end = self.cycle() + cycles;
-        while self.cycle() < end {
-            let mut horizon = u64::MAX;
-            let mut skippable = true;
-            for core in &self.cores {
-                // Same gate as the single-core run loop: pay the full
-                // horizon scan only when the core's last stepped cycle
-                // demonstrably did nothing.
-                if !core.skip_enabled() || !core.idle_since_last_step() {
-                    skippable = false;
-                    break;
-                }
-            }
-            if skippable {
-                for core in &self.cores {
-                    match core.stall_horizon() {
-                        None => {
-                            skippable = false;
-                            break;
-                        }
-                        Some(h) => horizon = horizon.min(h),
-                    }
-                }
-            }
-            if skippable {
-                let k = horizon.min(end) - self.cycle();
-                for core in &mut self.cores {
-                    core.skip_cycles(k);
-                }
-            } else {
-                self.step(choosers);
-            }
+        for _ in 0..cycles {
+            self.step(choosers);
         }
     }
 
@@ -297,23 +256,13 @@ impl MultiCoreMachine {
             threads: (0..self.placement.len())
                 .map(|g| self.thread_counters(g).clone())
                 .collect(),
-            skipped_cycles: self.skipped_cycles(),
         }
     }
 
-    /// Toggle event-horizon fast-forward on every core. Cores skip only
-    /// when all of them report a horizon, so a single `false` pins the
-    /// whole machine to cycle-by-cycle stepping.
-    pub fn set_skip_enabled(&mut self, enabled: bool) {
-        for core in &mut self.cores {
-            core.set_skip_enabled(enabled);
-        }
-    }
-
-    /// Cycles fast-forwarded rather than stepped, summed over cores (a
-    /// machine-wide skip of `k` counts `k` on each core).
+    /// Always 0: every cycle is stepped. Kept only because the benchmark
+    /// harness still reads it; the next change to the benchmark removes it.
     pub fn skipped_cycles(&self) -> u64 {
-        self.cores.iter().map(|c| c.skipped_cycles()).sum()
+        0
     }
 
     /// Total committed micro-ops over all global threads.

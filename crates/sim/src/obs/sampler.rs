@@ -25,12 +25,8 @@ pub struct PipelineSampler {
     /// Per-thread fetched micro-ops (correct + wrong path) since the last
     /// sample, i.e. each thread's share of the fetch bandwidth.
     c_thread_fetch: Vec<CounterId>,
-    /// Cycles covered by event-horizon fast-forward since the last
-    /// sample (how much wall-clock the skip engine saved this interval).
-    c_skipped: CounterId,
     last_thread_fetch: Vec<u64>,
     last_fetch_slots: u64,
-    last_skipped: u64,
 }
 
 impl PipelineSampler {
@@ -54,10 +50,8 @@ impl PipelineSampler {
             c_thread_fetch: (0..n)
                 .map(|t| reg.counter(&format!("thread{t}_fetch_slots")))
                 .collect(),
-            c_skipped: reg.counter("skipped_cycles"),
             last_thread_fetch: vec![0; n],
             last_fetch_slots: 0,
-            last_skipped: 0,
         }
     }
 
@@ -83,9 +77,6 @@ impl PipelineSampler {
             slots.saturating_sub(self.last_fetch_slots),
         );
         self.last_fetch_slots = slots;
-        let skipped = machine.skipped_cycles();
-        reg.inc(self.c_skipped, skipped.saturating_sub(self.last_skipped));
-        self.last_skipped = skipped;
     }
 }
 
@@ -104,9 +95,6 @@ pub struct MultiCoreSampler {
     h_core: Vec<(HistId, HistId, HistId, HistId)>,
     /// Per core: fetch slots filled since the last sample.
     c_core_fetch: Vec<CounterId>,
-    /// Per core: cycles covered by event-horizon fast-forward since the
-    /// last sample.
-    c_core_skipped: Vec<CounterId>,
     /// Per core: shared-L2 misses charged to threads resident on the
     /// core at sampling time (inter-core contention attribution).
     c_core_l2_miss: Vec<CounterId>,
@@ -118,7 +106,6 @@ pub struct MultiCoreSampler {
     c_l2_accesses: CounterId,
     c_l2_misses: CounterId,
     last_core_fetch: Vec<u64>,
-    last_core_skipped: Vec<u64>,
     last_thread_l2_miss: Vec<u64>,
     last_thread_migrations: Vec<u64>,
     last_l2: (u64, u64),
@@ -153,9 +140,6 @@ impl MultiCoreSampler {
             c_core_fetch: (0..n_cores)
                 .map(|c| reg.counter(&format!("core{c}_fetch_slots")))
                 .collect(),
-            c_core_skipped: (0..n_cores)
-                .map(|c| reg.counter(&format!("core{c}_skipped_cycles")))
-                .collect(),
             c_core_l2_miss: (0..n_cores)
                 .map(|c| reg.counter(&format!("core{c}_l2_misses")))
                 .collect(),
@@ -169,7 +153,6 @@ impl MultiCoreSampler {
             c_l2_accesses: reg.counter("shared_l2_accesses"),
             c_l2_misses: reg.counter("shared_l2_misses"),
             last_core_fetch: vec![0; n_cores],
-            last_core_skipped: vec![0; n_cores],
             last_thread_l2_miss: vec![0; n_threads],
             last_thread_migrations: vec![0; n_threads],
             last_l2: (0, 0),
@@ -192,10 +175,6 @@ impl MultiCoreSampler {
             let delta = slots.saturating_sub(self.last_core_fetch[c]);
             self.last_core_fetch[c] = slots;
             reg.inc(self.c_core_fetch[c], delta);
-            let skipped = core.skipped_cycles();
-            let sdelta = skipped.saturating_sub(self.last_core_skipped[c]);
-            self.last_core_skipped[c] = skipped;
-            reg.inc(self.c_core_skipped[c], sdelta);
         }
         for g in 0..machine.n_threads() {
             let (c, _) = machine.placement()[g];
@@ -256,12 +235,6 @@ mod tests {
         assert_eq!(per_thread, m.global().fetch_slots_used);
         let rob = reg.hist("rob_depth_per_thread", 0.0, 1.0, 1);
         assert_eq!(reg.hist_of(rob).count(), 8, "2 threads x 4 samples");
-        let skipped = reg.counter("skipped_cycles");
-        assert_eq!(
-            reg.counter_value(skipped),
-            m.skipped_cycles(),
-            "summed skip deltas must equal the machine's odometer"
-        );
     }
 
     #[test]
@@ -301,12 +274,6 @@ mod tests {
                 reg.counter_value(id),
                 m.core(c).global().fetch_slots_used,
                 "core {c}: summed deltas must equal the cumulative count"
-            );
-            let sk = reg.counter(&format!("core{c}_skipped_cycles"));
-            assert_eq!(
-                reg.counter_value(sk),
-                m.core(c).skipped_cycles(),
-                "core {c}: summed skip deltas must equal the core's odometer"
             );
         }
         let (acc, miss) = m.shared_l2_stats();

@@ -20,17 +20,6 @@
 //!   to a [`CodecError`], never a panic — callers fall back to a cold
 //!   warmup.
 //!
-//! **No fast-forward state is serialized.** The event-horizon skip
-//! engine (`SmtMachine::stall_horizon`) is *derived* entirely from
-//! state this container already carries — stall-until cycles, in-flight
-//! `done_at` deadlines, the syscall drain queue — and the `skip_enabled`
-//! switch plus the `skipped_cycles` odometer are host-side observability,
-//! not simulated state. Serializing any of it would make snapshot bytes
-//! depend on *how* a machine reached a cycle (skipped vs stepped),
-//! destroying the byte-identity contract above; instead a decoded
-//! machine starts with skipping on and its odometer at zero, exactly
-//! like the transient wake arena and `l2_rot` stamp.
-//!
 //! Container layout (little-endian):
 //!
 //! ```text
@@ -309,6 +298,53 @@ mod tests {
                 Err(CodecError::Invalid(msg)) => assert!(msg.contains(queue), "{queue}: {msg}"),
                 other => panic!(
                     "{queue} for 1 context: expected Invalid, got {:?}",
+                    other.map(|_| "a machine")
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn gauges_that_disagree_with_the_window_are_errors() {
+        // A warm 8-thread MIX01 machine holds every gauge's kind of op.
+        let streams = smt_workloads::mix(1).take_threads(8, 7).streams(42);
+        let mut m = SmtMachine::new(SimConfig::with_threads(8), streams);
+        m.run(6 * 8_192, &mut RoundRobin);
+        let bytes = MachineSnapshot::capture(&m).to_bytes();
+        assert!(MachineSnapshot::from_bytes(&bytes).is_ok());
+        let payload_end = bytes.len() - 8;
+        for gauge in [
+            "front_end_occ",
+            "iq_occ",
+            "inflight_branches",
+            "inflight_loads",
+            "inflight_mem",
+            "outstanding_dmiss",
+        ] {
+            // Thread 0's counters leaf is the first to hold the key.
+            // Change its last digit and restamp the checksum, so the
+            // decoder itself has to reject it.
+            let key = format!("\"{gauge}\":");
+            let at = bytes
+                .windows(key.len())
+                .position(|w| w == key.as_bytes())
+                .expect("counters leaf holds every gauge")
+                + key.len();
+            let digits = bytes[at..]
+                .iter()
+                .take_while(|b| b.is_ascii_digit())
+                .count();
+            let mut bad = bytes.clone();
+            let last = &mut bad[at + digits - 1];
+            *last = if *last == b'0' { b'1' } else { *last - 1 };
+            let sum = fnv1a_64(&bad[20..payload_end]);
+            bad[payload_end..].copy_from_slice(&sum.to_le_bytes());
+            match MachineSnapshot::from_bytes(&bad) {
+                Err(CodecError::Invalid(msg)) => {
+                    assert!(msg.contains("T0") && msg.contains(gauge), "{gauge}: {msg}")
+                }
+                other => panic!(
+                    "{gauge} rewritten: expected Invalid, got {:?}",
                     other.map(|_| "a machine")
                 ),
             }

@@ -867,146 +867,3 @@ fn migration_penalty_freezes_fetch_and_is_attributed() {
     );
     m.check_invariants();
 }
-
-// ---------------------------------------------------------------------------
-// event-horizon fast-forward boundary cases
-// ---------------------------------------------------------------------------
-//
-// The differential proptests (`proptest_skip.rs`) cover random chunkings;
-// these microtests pin the exact boundary conditions the skip engine must
-// get right, comparing a skip-enabled machine against a single-stepped
-// twin with `MachineSnapshot` byte equality — the strongest check we have.
-
-mod skip_boundaries {
-    use super::*;
-    use smt_sim::snapshot::MachineSnapshot;
-    use smt_workloads::mix;
-
-    /// A 1-thread memory-bound machine (mcf-like miss behaviour) whose
-    /// run is mostly long D-miss stall windows — prime skip territory.
-    fn memory_bound_pair(seed: u64) -> (SmtMachine, SmtMachine) {
-        let streams = mix(13).take_threads(1, 1).streams(seed);
-        let mut fast = SmtMachine::new(SimConfig::with_threads(1), streams);
-        fast.set_skip_enabled(true);
-        let mut slow = fast.clone();
-        slow.set_skip_enabled(false);
-        (fast, slow)
-    }
-
-    fn assert_bit_identical(fast: &SmtMachine, slow: &SmtMachine, what: &str) {
-        assert_eq!(fast.cycle(), slow.cycle(), "{what}: cycles diverged");
-        assert_eq!(
-            MachineSnapshot::capture(fast).to_bytes(),
-            MachineSnapshot::capture(slow).to_bytes(),
-            "{what}: states diverged"
-        );
-    }
-
-    /// Sweep a run-boundary across the first 400 cycles: for every split
-    /// point — including the ones landing *exactly* on a wake cycle (a
-    /// completion deadline, the end of a skip window) — two-chunk
-    /// skipped execution equals one-chunk single-stepped execution.
-    #[test]
-    fn wake_landing_exactly_on_quantum_boundary() {
-        let mut engaged = false;
-        for boundary in (1..400).step_by(1) {
-            let (mut fast, mut slow) = memory_bound_pair(7);
-            fast.run(boundary, &mut RoundRobin);
-            fast.run(600 - boundary, &mut RoundRobin);
-            slow.run(600, &mut RoundRobin);
-            assert_bit_identical(&fast, &slow, "boundary sweep");
-            engaged |= fast.skipped_cycles() > 0;
-        }
-        assert!(engaged, "no split point ever skipped — vacuous sweep");
-    }
-
-    /// A flush arriving while the machine sits mid-stall-window: the
-    /// skip must not have advanced past the quantum end where the flush
-    /// lands, for any alignment of the flush within the window.
-    #[test]
-    fn flush_arriving_mid_skip_window() {
-        for at in (1..400).step_by(7) {
-            let (mut fast, mut slow) = memory_bound_pair(11);
-            fast.run(at, &mut RoundRobin);
-            slow.run(at, &mut RoundRobin);
-            fast.flush_thread(Tid(0));
-            slow.flush_thread(Tid(0));
-            fast.run(800, &mut RoundRobin);
-            slow.run(800, &mut RoundRobin);
-            assert_bit_identical(&fast, &slow, "mid-window flush");
-        }
-    }
-
-    /// Degenerate horizons: single-cycle run chunks force every skip to
-    /// clamp at `end = now + 1`, and stall windows whose next event is
-    /// one cycle ahead produce minimal (length-1) skips. Both must
-    /// degrade exactly to stepping.
-    #[test]
-    fn zero_length_horizon_chunks() {
-        let (mut fast, mut slow) = memory_bound_pair(13);
-        for _ in 0..600 {
-            fast.run(1, &mut RoundRobin);
-            slow.run(1, &mut RoundRobin);
-        }
-        assert_bit_identical(&fast, &slow, "1-cycle chunks");
-    }
-
-    /// The all-threads-drained syscall case: the drain empties the
-    /// pipeline, then the syscall executes for `syscall_latency` cycles
-    /// — a pure stall window bounded by the completion deadline that the
-    /// skip engine must fast-forward through and account identically
-    /// (drain counters included).
-    #[test]
-    fn syscall_drain_window_is_skipped_exactly() {
-        let script = vec![
-            alu(0x0, 10, None),
-            MicroOp {
-                kind: OpKind::Syscall,
-                ..alu(0x4, 11, None)
-            },
-            alu(0x8, 12, None),
-        ];
-        let cfg = SimConfig::with_threads(1);
-        let mut fast = machine_with(script, cfg);
-        fast.set_skip_enabled(true);
-        let mut slow = fast.clone();
-        slow.set_skip_enabled(false);
-        fast.run(3_000, &mut RoundRobin);
-        slow.run(3_000, &mut RoundRobin);
-        assert_bit_identical(&fast, &slow, "syscall drain");
-        assert!(slow.counters(Tid(0)).syscalls > 0, "no syscall retired");
-        assert!(
-            fast.skipped_cycles() > fast.config().syscall_latency,
-            "drain/execute windows not fast-forwarded: {} skipped",
-            fast.skipped_cycles()
-        );
-    }
-
-    /// A migration penalty longer than every other stall: the horizon is
-    /// the penalty expiry itself, and the skip must stop exactly there
-    /// (fetch resumes the same cycle as under stepping).
-    #[test]
-    fn migration_penalty_expiring_first() {
-        let script: Vec<MicroOp> = (0..4u8).map(|i| alu(4 * i as u64, 10 + i, None)).collect();
-        let mut fast = machine_with(script, SimConfig::with_threads(1));
-        fast.set_skip_enabled(true);
-        let mut slow = fast.clone();
-        slow.set_skip_enabled(false);
-        for m in [&mut fast, &mut slow] {
-            m.run(100, &mut RoundRobin);
-            let th = m.migrate_out(Tid(0));
-            m.migrate_in(Tid(0), th, 257);
-            m.run(1_000, &mut RoundRobin);
-        }
-        assert_bit_identical(&fast, &slow, "migration penalty");
-        assert!(
-            fast.skipped_cycles() >= 200,
-            "penalty window not fast-forwarded: {} skipped",
-            fast.skipped_cycles()
-        );
-        assert!(
-            slow.counters(Tid(0)).committed > 0,
-            "thread never resumed after the penalty"
-        );
-    }
-}
