@@ -1,482 +1,399 @@
-//! Shared instrumentation-flag plumbing for the experiment binaries.
+//! The command line of `repro`: one options struct, parsed and validated
+//! in one place.
 //!
-//! `repro`, `calibrate` and `characterize` all accept the observability
-//! (`--obs`, `--obs-out`, `--obs-events`) and attribution (`--attr`,
-//! `--attr-out`) flag families. Before this module each binary parsed
-//! them by hand — with drifting strictness (repro rejected a zero ring
-//! cap, the others silently kept the default). Now one [`InstrumentCli`]
-//! owns parsing, validation, the usage string, and the post-experiment
-//! dispatch into [`crate::obs`] / [`crate::attr`].
+//! [`parse`] turns argv into a [`RunOptions`], or into a message naming
+//! the first bad flag or value (`repro` prints it and exits 2). Every
+//! value is checked here, so nothing downstream re-parses a flag or meets
+//! a value it cannot run: an unknown experiment, a mix id outside
+//! `1..=MIX_COUNT`, zero measured quanta, a zero core count or an
+//! experiment named beside a trace pass (which runs instead of the
+//! experiments) is refused here.
 
-use crate::attr::{self, AttrOptions};
-use crate::obs::{self, ObsOptions};
 use crate::params::ExpParams;
 use adts_core::AllocKind;
+use smt_workloads::MIX_COUNT;
+use std::fmt::Display;
 use std::path::PathBuf;
+use std::str::FromStr;
 
-/// The instrumented-pass flags shared by every experiment binary.
-#[derive(Clone, Debug, Default)]
-pub struct InstrumentCli {
-    pub obs: ObsOptions,
-    pub attr: AttrOptions,
-}
+/// Every experiment name `repro` accepts.
+const EXPERIMENTS: &[&str] = &[
+    "table1",
+    "fig7",
+    "fig8",
+    "headline",
+    "headline-random",
+    "oracle",
+    "scaling",
+    "ablate-quantum",
+    "ablate-dt",
+    "ablate-cond",
+    "ablate-rotation",
+    "ablate-fetchmech",
+    "ablate-prefetch",
+    "ablate-threshold",
+    "jobsched",
+    "alloc",
+    "calibrate",
+    "characterize",
+    "all",
+];
 
-/// One line for each binary's usage text.
-pub const INSTRUMENT_USAGE: &str =
-    "[--obs] [--obs-out DIR] [--obs-events N] [--attr] [--attr-out DIR]";
+/// Experiments that run a fixed protocol of their own instead of the
+/// run's scale; `all` leaves them out.
+const OWN_PROTOCOL: &[&str] = &["calibrate", "characterize"];
 
-/// Usage fragment for the checkpoint flags shared by every binary.
-pub const CKPT_USAGE: &str = "[--no-ckpt] [--ckpt-dir DIR]";
+/// Default `--obs-events` ring capacity: enough to retain several quanta
+/// of full pipeline activity on an 8-wide machine without unbounded
+/// memory.
+const DEFAULT_EVENTS_CAP: usize = 65_536;
 
-/// Usage fragment for the trace capture/replay flags shared by every
-/// binary.
-pub const TRACE_USAGE: &str = "[--capture-trace FILE] [--trace FILE]";
+const USAGE: &str = "\
+usage: repro [OPTIONS] <EXPERIMENT>...
 
-/// Usage fragment for the multi-core allocation flags shared by every
-/// binary.
-pub const ALLOC_USAGE: &str = "[--cores N] [--alloc NAME]... [--mig-penalty N]";
+Experiments:
+  table1            E1  fixed-policy baseline (Table 1 context)
+  fig7              E2-E5  Fig 7(a)-(d): switch counts and benign-switch
+                    probability vs threshold and heuristic type
+  fig8              E6-E7  Fig 8(a)-(d): aggregate IPC vs threshold and type
+  headline          E8  ADTS (Type 3, m=2) vs fixed scheduling, per mix
+  headline-random   E8b the headline on random mixes
+  oracle            E9  per-quantum oracle bound (add --oracle-all for all ten)
+  scaling           E10 IPC vs thread count {1,2,4,6,8}
+  ablate-quantum | ablate-dt | ablate-cond | ablate-rotation |
+  ablate-fetchmech | ablate-prefetch
+                    A1-A6 ablations
+  ablate-threshold  X1  fixed vs self-tuning IPC threshold
+  jobsched          X2  clog-mark-assisted job scheduling
+  alloc             X3  thread-to-core allocation policies on a multi-core
+                    machine (see --cores/--alloc/--mig-penalty)
+  all               every experiment above
+  calibrate         the paper's COND_* threshold calibration (section 4.3.2):
+                    seed 42, 6 + 30 quanta of 8192 cycles, all 13 mixes
+  characterize      W1  single-thread character of every application model:
+                    seed 42, 700k cycles after a 100k warmup per app
 
-/// Usage fragment for the engine span-trace flags shared by every
-/// binary.
-pub const SPANS_USAGE: &str = "[--spans] [--spans-out DIR]";
+Options:
+  --full            paper-scale runs (~1 M cycles per point)
+  --smoke           tiny runs (CI)
+  --seed N          root seed (default 42)
+  --quanta N        measured quanta per point
+  --mixes 1,9,13    restrict to selected mixes (ids 1..=13)
+  --out DIR         also write CSVs into DIR (default results)
+  --no-csv          skip CSV output
+  --oracle-all      oracle over all ten policies too (slow)
+  --jobs N          sweep worker threads (default: SMT_BENCH_JOBS, then
+                    available parallelism)
+  --no-cache        simulate every point even if cached
+  --cache-dir DIR   result cache location (default results/cache)
+  --no-telemetry    skip the <out>/telemetry.jsonl run log
+  --no-ckpt         disable the warm pool and on-disk checkpoint store
+  --ckpt-dir DIR    checkpoint store location (default results/cache/ckpt)
+  --obs             after the experiments, re-run each selected mix with
+                    the event trace and occupancy sampler on and export
+                    JSONL / Chrome-trace / Prometheus artifacts
+  --obs-out DIR     --obs artifact directory (default results/obs)
+  --obs-events N    trace ring capacity (default 65536)
+  --attr            after the experiments, re-run each selected mix with
+                    slot attribution and the decision audit on and write
+                    CPI-stack tables, CSV/JSON, decision JSONL and timelines
+  --attr-out DIR    --attr artifact directory (default results/attr)
+                    (--obs and --attr together simulate each point once;
+                    with --cores/--alloc/--mig-penalty and more than one
+                    core, the passes run on the multi-core machine)
+  --spans           record a span trace of the sweep engine itself and
+                    export JSONL / Chrome-trace / Prometheus at exit
+  --spans-out DIR   span artifact directory (default results/spans)
+  --capture-trace FILE  record the selected mixes' synthetic runs to
+                    SMTTRACE files (instead of the experiments; --obs and
+                    --attr still follow)
+  --trace FILE      replay a captured trace through the threshold x type
+                    sweep (instead of the experiments), plus the --obs /
+                    --attr pass on fixed ICOUNT when asked
+  --cores N         cores sharing the L2 in the alloc experiment (default 2)
+  --alloc NAME      restrict alloc to this allocation policy (repeatable;
+                    default: all four)
+  --mig-penalty N   cold-frontend cycles charged per migration (default 256)
+  --help            this text
+";
 
-/// The engine span-trace flags (`--spans`, `--spans-out`) shared by
-/// every experiment binary. `--spans` turns on the process-wide
-/// [`crate::sweep::span::SpanRecorder`] for the whole run — per-point
-/// spans, warm-pool and checkpoint events, batch forks, worker lanes —
-/// and the binary writes the three artifacts (`spans.jsonl`,
-/// `spans.trace.json`, `engine.prom`) on exit.
+/// Everything one `repro` invocation asked for.
 #[derive(Clone, Debug)]
-pub struct SpanCli {
-    /// `--spans`: record the engine trace at all.
-    pub enabled: bool,
-    /// `--spans-out DIR`: artifact directory.
-    pub out_dir: PathBuf,
-}
-
-impl Default for SpanCli {
-    fn default() -> Self {
-        SpanCli {
-            enabled: false,
-            out_dir: PathBuf::from("results/spans"),
-        }
-    }
-}
-
-impl SpanCli {
-    /// Same contract as [`InstrumentCli::accept`].
-    pub fn accept(
-        &mut self,
-        arg: &str,
-        args: &mut impl Iterator<Item = String>,
-    ) -> Result<bool, String> {
-        match arg {
-            "--spans" => self.enabled = true,
-            "--spans-out" => {
-                self.out_dir = PathBuf::from(args.next().ok_or("--spans-out needs a value")?);
-            }
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// Enable the process-wide recorder if requested. Call once, after
-    /// argument parsing and before any experiment runs.
-    pub fn apply(&self) {
-        if self.enabled {
-            crate::sweep::span::set_enabled(true);
-        }
-    }
-
-    /// Write the engine-trace artifacts (no-op unless `--spans`); call
-    /// at binary exit, after every experiment ran.
-    pub fn finish(&self) {
-        if !self.enabled {
-            return;
-        }
-        match crate::sweep::spans().write_artifacts(&self.out_dir) {
-            Ok(art) => println!("[spans] {}", art.trace.display()),
-            Err(e) => eprintln!(
-                "warning: engine span artifacts at {} failed: {e}",
-                self.out_dir.display()
-            ),
-        }
-    }
-}
-
-/// The multi-core allocation flags (`--cores`, `--alloc`,
-/// `--mig-penalty`) shared by every experiment binary. They parameterize
-/// the `alloc_sweep` experiment: core count, the allocation policies to
-/// sweep (default: all four), and the cold-frontend migration penalty in
-/// cycles.
-#[derive(Clone, Debug)]
-pub struct AllocCli {
-    /// `--cores N`: number of cores sharing the L2.
+pub struct RunOptions {
+    /// `--full`/`--smoke` scale with `--seed`, `--quanta` and `--mixes`
+    /// applied on top.
+    pub params: ExpParams,
+    /// Experiment names, in command-line order.
+    pub experiments: Vec<String>,
+    /// `--help`, or nothing to run.
+    pub help: bool,
+    /// `--out DIR`; `None` after `--no-csv`.
+    pub out: Option<PathBuf>,
+    pub oracle_all: bool,
+    pub jobs: Option<usize>,
+    pub no_cache: bool,
+    pub cache_dir: PathBuf,
+    pub no_telemetry: bool,
+    pub no_ckpt: bool,
+    pub ckpt_dir: PathBuf,
+    pub obs: bool,
+    pub obs_out: PathBuf,
+    pub obs_events: usize,
+    pub attr: bool,
+    pub attr_out: PathBuf,
+    pub spans: bool,
+    pub spans_out: PathBuf,
+    pub capture_trace: Option<PathBuf>,
+    pub trace: Option<PathBuf>,
     pub cores: usize,
-    /// `--alloc NAME` (repeatable): restrict the sweep to these
-    /// policies; empty means all of [`AllocKind::ALL`].
-    pub allocs: Vec<AllocKind>,
-    /// `--mig-penalty N`: cold-frontend cycles charged per migration.
-    pub penalty: u64,
-    /// Any of the family's flags seen at all (calibrate/characterize run
-    /// their multi-core context pass only when asked).
-    pub requested: bool,
+    /// `--alloc` selections, without duplicates; empty means all four.
+    pub alloc: Vec<AllocKind>,
+    pub mig_penalty: u64,
+    /// Any of `--cores`, `--alloc`, `--mig-penalty` given.
+    pub alloc_flags: bool,
 }
 
-impl Default for AllocCli {
+impl Default for RunOptions {
     fn default() -> Self {
-        AllocCli {
+        RunOptions {
+            params: ExpParams::standard(),
+            experiments: Vec::new(),
+            help: false,
+            out: Some(PathBuf::from("results")),
+            oracle_all: false,
+            jobs: None,
+            no_cache: false,
+            cache_dir: PathBuf::from("results/cache"),
+            no_telemetry: false,
+            no_ckpt: false,
+            ckpt_dir: PathBuf::from("results/cache/ckpt"),
+            obs: false,
+            obs_out: PathBuf::from("results/obs"),
+            obs_events: DEFAULT_EVENTS_CAP,
+            attr: false,
+            attr_out: PathBuf::from("results/attr"),
+            spans: false,
+            spans_out: PathBuf::from("results/spans"),
+            capture_trace: None,
+            trace: None,
             cores: 2,
-            allocs: Vec::new(),
-            penalty: 256,
-            requested: false,
+            alloc: Vec::new(),
+            mig_penalty: 256,
+            alloc_flags: false,
         }
     }
 }
 
-impl AllocCli {
-    /// Same contract as [`InstrumentCli::accept`].
-    pub fn accept(
-        &mut self,
-        arg: &str,
-        args: &mut impl Iterator<Item = String>,
-    ) -> Result<bool, String> {
-        match arg {
-            "--cores" => {
-                self.cores = args
-                    .next()
-                    .ok_or("--cores needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad core count: {e}"))?;
-                if self.cores == 0 {
-                    return Err("--cores must be at least 1".to_string());
-                }
-            }
-            "--alloc" => {
-                let name = args.next().ok_or("--alloc needs a value")?;
-                let kind = AllocKind::by_name(&name).ok_or_else(|| {
-                    let known: Vec<&str> = AllocKind::ALL.iter().map(|k| k.name()).collect();
-                    format!(
-                        "unknown allocation policy {name:?} (known: {})",
-                        known.join(", ")
-                    )
-                })?;
-                if !self.allocs.contains(&kind) {
-                    self.allocs.push(kind);
-                }
-            }
-            "--mig-penalty" => {
-                self.penalty = args
-                    .next()
-                    .ok_or("--mig-penalty needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad migration penalty: {e}"))?;
-            }
-            _ => return Ok(false),
-        }
-        self.requested = true;
-        Ok(true)
+impl RunOptions {
+    /// The `--help` text.
+    pub fn usage() -> &'static str {
+        USAGE
     }
 
-    /// The policies to sweep: the `--alloc` selection, or all four.
+    /// Was experiment `name` selected, by name or through `all`?
+    pub fn wants(&self, name: &str) -> bool {
+        self.experiments
+            .iter()
+            .any(|e| e == name || (e == "all" && !OWN_PROTOCOL.contains(&name)))
+    }
+
+    /// The allocation policies to sweep: the `--alloc` selection, or all
+    /// four.
     pub fn allocs(&self) -> Vec<AllocKind> {
-        if self.allocs.is_empty() {
+        if self.alloc.is_empty() {
             AllocKind::ALL.to_vec()
         } else {
-            self.allocs.clone()
+            self.alloc.clone()
         }
     }
+
+    /// Does anything selected run at the run's scale (`params`)? Every
+    /// experiment but `calibrate` and `characterize` does, and so do the
+    /// `--obs`/`--attr` passes.
+    pub fn runs_at_scale(&self) -> bool {
+        self.obs
+            || self.attr
+            || self
+                .experiments
+                .iter()
+                .any(|e| !OWN_PROTOCOL.contains(&e.as_str()))
+    }
+
+    /// Do the `--obs`/`--attr` passes run on the multi-core machine? Only
+    /// when the multi-core flags were given and name more than one core.
+    pub fn multicore_passes(&self) -> bool {
+        self.alloc_flags && self.cores > 1
+    }
 }
 
-/// The trace-frontend flags (`--capture-trace`, `--trace`) shared by
-/// every experiment binary. Either flag switches the binary into a
-/// standalone trace pass (run by [`crate::tracebench::run_cli`]) instead
-/// of its normal experiments: `--capture-trace` records the configured
-/// synthetic runs to `SMTTRACE` files, `--trace` replays a recorded file
-/// through the trace-backed sweep (and `--attr` explain, if requested).
-#[derive(Clone, Debug, Default)]
-pub struct TraceCli {
-    /// `--capture-trace FILE`: capture destination.
-    pub capture: Option<PathBuf>,
-    /// `--trace FILE`: trace to replay.
-    pub replay: Option<PathBuf>,
-}
-
-impl TraceCli {
-    /// Same contract as [`InstrumentCli::accept`].
-    pub fn accept(
-        &mut self,
-        arg: &str,
-        args: &mut impl Iterator<Item = String>,
-    ) -> Result<bool, String> {
-        match arg {
-            "--capture-trace" => {
-                self.capture = Some(PathBuf::from(
-                    args.next().ok_or("--capture-trace needs a value")?,
-                ));
+/// Parse `repro`'s arguments (without the program name).
+pub fn parse(args: impl IntoIterator<Item = String>) -> Result<RunOptions, String> {
+    let mut o = RunOptions::default();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().ok_or(format!("{arg} needs a value"));
+        o.alloc_flags |= matches!(arg.as_str(), "--cores" | "--alloc" | "--mig-penalty");
+        match arg.as_str() {
+            "--help" | "-h" | "help" => {
+                o.help = true;
+                return Ok(o);
             }
-            "--trace" => {
-                self.replay = Some(PathBuf::from(args.next().ok_or("--trace needs a value")?));
-            }
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// Was a trace pass requested at all?
-    pub fn active(&self) -> bool {
-        self.capture.is_some() || self.replay.is_some()
-    }
-}
-
-/// The warm-state checkpoint flags (`--no-ckpt`, `--ckpt-dir`) shared by
-/// every experiment binary. By default warmed machines are pooled in
-/// memory and persisted as checkpoints beside the result cache; `apply`
-/// pushes the parsed settings into [`crate::warm`].
-#[derive(Clone, Debug)]
-pub struct CkptCli {
-    /// `--no-ckpt` clears this: disables both the in-memory warm pool and
-    /// the on-disk checkpoint store.
-    pub enabled: bool,
-    /// `--ckpt-dir DIR`: where checkpoints live.
-    pub dir: PathBuf,
-}
-
-impl Default for CkptCli {
-    fn default() -> Self {
-        CkptCli {
-            enabled: true,
-            dir: PathBuf::from("results/cache/ckpt"),
-        }
-    }
-}
-
-impl CkptCli {
-    /// Same contract as [`InstrumentCli::accept`].
-    pub fn accept(
-        &mut self,
-        arg: &str,
-        args: &mut impl Iterator<Item = String>,
-    ) -> Result<bool, String> {
-        match arg {
-            "--no-ckpt" => self.enabled = false,
-            "--ckpt-dir" => {
-                self.dir = PathBuf::from(args.next().ok_or("--ckpt-dir needs a value")?);
-            }
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// Push the parsed settings into the process-wide warm pool. Call once,
-    /// after argument parsing and before any experiment runs.
-    pub fn apply(&self) {
-        crate::warm::set_enabled(self.enabled);
-        crate::warm::configure_store(self.enabled.then(|| self.dir.clone()));
-    }
-}
-
-impl InstrumentCli {
-    /// Try to consume `arg` (pulling its value from `args` where the flag
-    /// takes one). Returns `Ok(true)` when the flag belonged to this
-    /// family, `Ok(false)` when the caller should keep matching, and
-    /// `Err` on a malformed value — uniformly strict across binaries.
-    pub fn accept(
-        &mut self,
-        arg: &str,
-        args: &mut impl Iterator<Item = String>,
-    ) -> Result<bool, String> {
-        match arg {
-            "--obs" => self.obs.enabled = true,
-            "--obs-out" => {
-                self.obs.out_dir = PathBuf::from(args.next().ok_or("--obs-out needs a value")?);
-            }
-            "--obs-events" => {
-                self.obs.events_cap = args
-                    .next()
-                    .ok_or("--obs-events needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad events cap: {e}"))?;
-                if self.obs.events_cap == 0 {
-                    return Err("--obs-events must be positive".to_string());
+            "--full" => o.params = ExpParams::full(),
+            "--smoke" => o.params = ExpParams::smoke(),
+            "--seed" => o.params.seed = number(&arg, value()?)?,
+            "--quanta" => o.params.quanta = positive(&arg, value()?)?,
+            "--mixes" => o.params.mix_ids = mix_ids(&value()?)?,
+            "--out" => o.out = Some(PathBuf::from(value()?)),
+            "--no-csv" => o.out = None,
+            "--oracle-all" => o.oracle_all = true,
+            "--jobs" => o.jobs = Some(number(&arg, value()?)?),
+            "--no-cache" => o.no_cache = true,
+            "--cache-dir" => o.cache_dir = PathBuf::from(value()?),
+            "--no-telemetry" => o.no_telemetry = true,
+            "--no-ckpt" => o.no_ckpt = true,
+            "--ckpt-dir" => o.ckpt_dir = PathBuf::from(value()?),
+            "--obs" => o.obs = true,
+            "--obs-out" => o.obs_out = PathBuf::from(value()?),
+            "--obs-events" => o.obs_events = positive(&arg, value()?)?,
+            "--attr" => o.attr = true,
+            "--attr-out" => o.attr_out = PathBuf::from(value()?),
+            "--spans" => o.spans = true,
+            "--spans-out" => o.spans_out = PathBuf::from(value()?),
+            "--capture-trace" => o.capture_trace = Some(PathBuf::from(value()?)),
+            "--trace" => o.trace = Some(PathBuf::from(value()?)),
+            "--cores" => o.cores = positive(&arg, value()?)?,
+            "--alloc" => {
+                let kind = alloc_kind(&value()?)?;
+                if !o.alloc.contains(&kind) {
+                    o.alloc.push(kind);
                 }
             }
-            "--attr" => self.attr.enabled = true,
-            "--attr-out" => {
-                self.attr.out_dir = PathBuf::from(args.next().ok_or("--attr-out needs a value")?);
+            "--mig-penalty" => o.mig_penalty = number(&arg, value()?)?,
+            exp if !exp.starts_with('-') => {
+                if !EXPERIMENTS.contains(&exp) {
+                    return Err(format!(
+                        "unknown experiment {exp:?} (known: {})",
+                        EXPERIMENTS.join(" ")
+                    ));
+                }
+                o.experiments.push(arg);
             }
-            _ => return Ok(false),
+            other => return Err(format!("unknown option {other}")),
         }
-        Ok(true)
     }
+    let trace_pass = o.capture_trace.is_some() || o.trace.is_some();
+    if trace_pass && !o.experiments.is_empty() {
+        return Err(format!(
+            "--capture-trace and --trace run instead of experiments; drop {}",
+            o.experiments.join(" ")
+        ));
+    }
+    o.help = o.experiments.is_empty() && !trace_pass;
+    Ok(o)
+}
 
-    /// Any instrumented pass requested?
-    pub fn any_enabled(&self) -> bool {
-        self.obs.enabled || self.attr.enabled
-    }
+fn number<T: FromStr>(flag: &str, v: String) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    v.parse()
+        .map_err(|e| format!("bad {flag} value {v:?}: {e}"))
+}
 
-    /// Run whichever instrumented passes were requested, in the canonical
-    /// order (observe, then explain). When the user also asked for the
-    /// multi-core context (`--cores`/`--alloc`/`--mig-penalty` with more
-    /// than one core), the passes instrument that context instead of the
-    /// single-core one — previously `--obs --cores 2` silently observed
-    /// a single-core run.
-    pub fn run(&self, p: &ExpParams, alloc: &AllocCli) {
-        let multicore = alloc.requested && alloc.cores > 1;
-        if self.obs.enabled {
-            if multicore {
-                obs::run_observations_multicore(
-                    p,
-                    &self.obs,
-                    alloc.cores,
-                    alloc.penalty,
-                    &alloc.allocs(),
-                );
-            } else {
-                obs::run_observations(p, &self.obs);
-            }
-        }
-        if self.attr.enabled {
-            if multicore {
-                attr::run_explain_multicore(
-                    p,
-                    &self.attr,
-                    alloc.cores,
-                    alloc.penalty,
-                    &alloc.allocs(),
-                );
-            } else {
-                attr::run_explain(p, &self.attr);
-            }
-        }
+fn positive<T: FromStr + Default + PartialEq>(flag: &str, v: String) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let n = number(flag, v)?;
+    if n == T::default() {
+        return Err(format!("{flag} must be at least 1"));
     }
+    Ok(n)
+}
+
+fn mix_ids(v: &str) -> Result<Vec<usize>, String> {
+    v.split(',')
+        .map(|s| {
+            let id: usize = number("--mixes", s.trim().to_string())?;
+            if (1..=MIX_COUNT).contains(&id) {
+                Ok(id)
+            } else {
+                Err(format!("mix id {id} is outside 1..={MIX_COUNT}"))
+            }
+        })
+        .collect()
+}
+
+fn alloc_kind(name: &str) -> Result<AllocKind, String> {
+    AllocKind::by_name(name).ok_or_else(|| {
+        let known: Vec<&str> = AllocKind::ALL.iter().map(|k| k.name()).collect();
+        format!(
+            "unknown allocation policy {name:?} (known: {})",
+            known.join(", ")
+        )
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(tokens: &[&str]) -> Result<InstrumentCli, String> {
-        let mut cli = InstrumentCli::default();
-        let mut args = tokens.iter().map(|s| s.to_string());
-        while let Some(a) = args.next() {
-            if !cli.accept(&a, &mut args)? {
-                return Err(format!("unknown option {a}"));
-            }
-        }
-        Ok(cli)
+    fn p(tokens: &[&str]) -> Result<RunOptions, String> {
+        parse(tokens.iter().map(|s| s.to_string()))
     }
 
     #[test]
-    fn parses_both_flag_families() {
-        let cli = parse(&[
+    fn defaults_run_standard_scale_with_every_sink_off() {
+        let o = p(&["table1"]).unwrap();
+        assert!(!o.help);
+        assert_eq!(o.params, ExpParams::standard());
+        assert_eq!(o.out, Some(PathBuf::from("results")));
+        assert_eq!(o.cache_dir, PathBuf::from("results/cache"));
+        assert_eq!(o.ckpt_dir, PathBuf::from("results/cache/ckpt"));
+        assert!(!o.no_cache && !o.no_telemetry && !o.no_ckpt);
+        assert!(!o.obs && !o.attr);
+        assert_eq!(o.obs_out, PathBuf::from("results/obs"));
+        assert_eq!(o.attr_out, PathBuf::from("results/attr"));
+        assert_eq!(o.obs_events, DEFAULT_EVENTS_CAP);
+        assert!(!o.spans && !o.multicore_passes());
+        assert_eq!(o.spans_out, PathBuf::from("results/spans"));
+        assert!(o.capture_trace.is_none() && o.trace.is_none());
+        assert_eq!((o.cores, o.mig_penalty), (2, 256));
+        assert_eq!(o.allocs(), AllocKind::ALL.to_vec());
+    }
+
+    #[test]
+    fn every_flag_lands_in_its_field() {
+        let o = p(&[
+            "--smoke",
+            "--seed",
+            "7",
+            "--quanta",
+            "3",
+            "--mixes",
+            "1, 9",
+            "--no-csv",
+            "--oracle-all",
+            "--jobs",
+            "4",
+            "--no-cache",
+            "--cache-dir",
+            "c",
+            "--no-telemetry",
+            "--no-ckpt",
+            "--ckpt-dir",
+            "k",
             "--obs",
             "--obs-out",
-            "obs_dir",
+            "o",
             "--obs-events",
             "128",
             "--attr",
             "--attr-out",
-            "attr_dir",
-        ])
-        .unwrap();
-        assert!(cli.obs.enabled && cli.attr.enabled);
-        assert!(cli.any_enabled());
-        assert_eq!(cli.obs.out_dir, PathBuf::from("obs_dir"));
-        assert_eq!(cli.obs.events_cap, 128);
-        assert_eq!(cli.attr.out_dir, PathBuf::from("attr_dir"));
-    }
-
-    #[test]
-    fn defaults_leave_everything_disabled() {
-        let cli = parse(&[]).unwrap();
-        assert!(!cli.any_enabled());
-        assert_eq!(cli.obs.out_dir, PathBuf::from("results/obs"));
-        assert_eq!(cli.attr.out_dir, PathBuf::from("results/attr"));
-    }
-
-    #[test]
-    fn rejects_malformed_values_strictly() {
-        assert!(parse(&["--obs-events", "0"]).is_err());
-        assert!(parse(&["--obs-events", "many"]).is_err());
-        assert!(parse(&["--obs-out"]).is_err());
-        assert!(parse(&["--attr-out"]).is_err());
-    }
-
-    fn parse_ckpt(tokens: &[&str]) -> Result<CkptCli, String> {
-        let mut cli = CkptCli::default();
-        let mut args = tokens.iter().map(|s| s.to_string());
-        while let Some(a) = args.next() {
-            if !cli.accept(&a, &mut args)? {
-                return Err(format!("unknown option {a}"));
-            }
-        }
-        Ok(cli)
-    }
-
-    #[test]
-    fn ckpt_defaults_to_enabled_beside_the_result_cache() {
-        let cli = parse_ckpt(&[]).unwrap();
-        assert!(cli.enabled);
-        assert_eq!(cli.dir, PathBuf::from("results/cache/ckpt"));
-    }
-
-    #[test]
-    fn ckpt_flags_parse_and_validate() {
-        let cli = parse_ckpt(&["--no-ckpt", "--ckpt-dir", "elsewhere"]).unwrap();
-        assert!(!cli.enabled);
-        assert_eq!(cli.dir, PathBuf::from("elsewhere"));
-        assert!(parse_ckpt(&["--ckpt-dir"]).is_err());
-        assert!(parse_ckpt(&["--frobnicate"]).is_err());
-    }
-
-    fn parse_trace(tokens: &[&str]) -> Result<TraceCli, String> {
-        let mut cli = TraceCli::default();
-        let mut args = tokens.iter().map(|s| s.to_string());
-        while let Some(a) = args.next() {
-            if !cli.accept(&a, &mut args)? {
-                return Err(format!("unknown option {a}"));
-            }
-        }
-        Ok(cli)
-    }
-
-    #[test]
-    fn trace_flags_parse_and_validate() {
-        assert!(!parse_trace(&[]).unwrap().active());
-        let cli =
-            parse_trace(&["--capture-trace", "out.smttrace", "--trace", "in.smttrace"]).unwrap();
-        assert!(cli.active());
-        assert_eq!(cli.capture, Some(PathBuf::from("out.smttrace")));
-        assert_eq!(cli.replay, Some(PathBuf::from("in.smttrace")));
-        assert!(parse_trace(&["--capture-trace"]).is_err());
-        assert!(parse_trace(&["--trace"]).is_err());
-        assert!(parse_trace(&["--frobnicate"]).is_err());
-    }
-
-    fn parse_alloc(tokens: &[&str]) -> Result<AllocCli, String> {
-        let mut cli = AllocCli::default();
-        let mut args = tokens.iter().map(|s| s.to_string());
-        while let Some(a) = args.next() {
-            if !cli.accept(&a, &mut args)? {
-                return Err(format!("unknown option {a}"));
-            }
-        }
-        Ok(cli)
-    }
-
-    #[test]
-    fn alloc_defaults_to_two_cores_all_policies() {
-        let cli = parse_alloc(&[]).unwrap();
-        assert!(!cli.requested);
-        assert_eq!(cli.cores, 2);
-        assert_eq!(cli.penalty, 256);
-        assert_eq!(cli.allocs(), AllocKind::ALL.to_vec());
-    }
-
-    #[test]
-    fn alloc_flags_parse_and_validate() {
-        let cli = parse_alloc(&[
+            "a",
+            "--spans",
+            "--spans-out",
+            "s",
             "--cores",
             "4",
             "--alloc",
@@ -484,56 +401,119 @@ mod tests {
             "--alloc",
             "ipc-greedy",
             "--alloc",
-            "rotate", // duplicates collapse
+            "rotate",
             "--mig-penalty",
             "64",
+            "alloc",
         ])
         .unwrap();
-        assert!(cli.requested);
-        assert_eq!(cli.cores, 4);
-        assert_eq!(cli.penalty, 64);
-        assert_eq!(cli.allocs(), vec![AllocKind::Rotate, AllocKind::IpcGreedy]);
-        assert!(parse_alloc(&["--cores", "0"]).is_err());
-        assert!(parse_alloc(&["--cores", "many"]).is_err());
-        assert!(parse_alloc(&["--alloc"]).is_err());
-        let err = parse_alloc(&["--alloc", "lru"]).unwrap_err();
-        assert!(err.contains("ipc-greedy"), "{err}");
-        assert!(parse_alloc(&["--mig-penalty", "-1"]).is_err());
-        assert!(parse_alloc(&["--frobnicate"]).is_err());
+        assert_eq!(o.params.seed, 7);
+        assert_eq!(o.params.quanta, 3);
+        assert_eq!(o.params.quantum_cycles, ExpParams::smoke().quantum_cycles);
+        assert_eq!(o.params.mix_ids, vec![1, 9]);
+        assert_eq!(o.out, None);
+        assert!(o.oracle_all && o.no_cache && o.no_telemetry && o.no_ckpt && o.spans);
+        assert_eq!(o.jobs, Some(4));
+        assert_eq!(o.cache_dir, PathBuf::from("c"));
+        assert_eq!(o.ckpt_dir, PathBuf::from("k"));
+        assert_eq!(o.spans_out, PathBuf::from("s"));
+        assert!(o.obs && o.attr);
+        assert_eq!(o.obs_out, PathBuf::from("o"));
+        assert_eq!(o.obs_events, 128);
+        assert_eq!(o.attr_out, PathBuf::from("a"));
+        assert_eq!((o.cores, o.mig_penalty), (4, 64));
+        assert_eq!(o.allocs(), vec![AllocKind::Rotate, AllocKind::IpcGreedy]);
+        assert!(o.multicore_passes());
+        assert!(o.wants("alloc") && !o.wants("table1"));
     }
 
-    fn parse_spans(tokens: &[&str]) -> Result<SpanCli, String> {
-        let mut cli = SpanCli::default();
-        let mut args = tokens.iter().map(|s| s.to_string());
-        while let Some(a) = args.next() {
-            if !cli.accept(&a, &mut args)? {
-                return Err(format!("unknown option {a}"));
-            }
+    #[test]
+    fn trace_paths_land_in_their_fields() {
+        let o = p(&["--capture-trace", "out.smttrace", "--trace", "in.smttrace"]).unwrap();
+        assert_eq!(o.capture_trace, Some(PathBuf::from("out.smttrace")));
+        assert_eq!(o.trace, Some(PathBuf::from("in.smttrace")));
+    }
+
+    #[test]
+    fn malformed_values_are_errors() {
+        for argv in [
+            &["--seed"][..],
+            &["--jobs", "many"],
+            &["--quanta", "-1"],
+            &["--quanta", "0"],
+            &["--obs-events", "0"],
+            &["--obs-events", "many"],
+            &["--obs-out"],
+            &["--attr-out"],
+            &["--ckpt-dir"],
+            &["--spans-out"],
+            &["--capture-trace"],
+            &["--trace"],
+            &["--cores", "0"],
+            &["--cores", "many"],
+            &["--alloc"],
+            &["--mig-penalty", "-1"],
+            &["--mixes", ""],
+            &["--frobnicate"],
+            &["--all"],
+            &["fig7a"],
+            &["--trace", "t.smttrace", "table1"],
+            &["table1", "--capture-trace", "t.smttrace"],
+        ] {
+            assert!(p(argv).is_err(), "{argv:?} must be refused");
         }
-        Ok(cli)
+        let err = p(&["--alloc", "lru"]).unwrap_err();
+        assert!(err.contains("ipc-greedy"), "{err}");
     }
 
     #[test]
-    fn spans_default_off_under_results() {
-        let cli = parse_spans(&[]).unwrap();
-        assert!(!cli.enabled);
-        assert_eq!(cli.out_dir, PathBuf::from("results/spans"));
+    fn mix_ids_outside_the_suite_name_the_range() {
+        for bad in ["0", "14", "1,0"] {
+            let err = p(&["--mixes", bad, "table1"]).unwrap_err();
+            assert!(err.contains(&format!("1..={MIX_COUNT}")), "{err}");
+        }
+        let o = p(&["--mixes", &MIX_COUNT.to_string(), "table1"]).unwrap();
+        assert_eq!(o.params.mix_ids, vec![MIX_COUNT]);
     }
 
     #[test]
-    fn spans_flags_parse_and_validate() {
-        let cli = parse_spans(&["--spans", "--spans-out", "elsewhere"]).unwrap();
-        assert!(cli.enabled);
-        assert_eq!(cli.out_dir, PathBuf::from("elsewhere"));
-        assert!(parse_spans(&["--spans-out"]).is_err());
-        assert!(parse_spans(&["--frobnicate"]).is_err());
+    fn all_selects_every_experiment_but_the_fixed_protocols() {
+        let o = p(&["all"]).unwrap();
+        for &e in EXPERIMENTS {
+            assert_eq!(o.wants(e), !OWN_PROTOCOL.contains(&e), "{e}");
+        }
+        assert!(p(&["calibrate"]).unwrap().wants("calibrate"));
     }
 
     #[test]
-    fn foreign_flags_are_left_to_the_caller() {
-        assert!(parse(&["--frobnicate"]).is_err());
-        let mut cli = InstrumentCli::default();
-        let mut args = std::iter::empty::<String>();
-        assert_eq!(cli.accept("--seed", &mut args), Ok(false));
+    fn only_the_fixed_protocols_ignore_the_run_scale() {
+        assert!(!p(&["calibrate", "characterize"]).unwrap().runs_at_scale());
+        assert!(p(&["calibrate", "table1"]).unwrap().runs_at_scale());
+        assert!(p(&["all"]).unwrap().runs_at_scale());
+        assert!(p(&["--obs", "calibrate"]).unwrap().runs_at_scale());
+        assert!(p(&["--attr", "characterize"]).unwrap().runs_at_scale());
+    }
+
+    #[test]
+    fn help_when_asked_or_when_nothing_would_run() {
+        assert!(p(&[]).unwrap().help);
+        assert!(p(&["--smoke"]).unwrap().help);
+        assert!(p(&["table1", "--help", "--frobnicate"]).unwrap().help);
+        assert!(!p(&["--trace", "t.smttrace"]).unwrap().help);
+        assert!(!p(&["--capture-trace", "t.smttrace"]).unwrap().help);
+        for &e in EXPERIMENTS {
+            assert!(USAGE.contains(e), "usage text misses {e}");
+        }
+    }
+
+    #[test]
+    fn multicore_passes_need_a_multicore_flag_and_two_cores() {
+        assert!(!p(&["--cores", "1", "alloc"]).unwrap().multicore_passes());
+        assert!(p(&["--mig-penalty", "8", "alloc"])
+            .unwrap()
+            .multicore_passes());
+        assert!(p(&["--alloc", "static", "alloc"])
+            .unwrap()
+            .multicore_passes());
     }
 }

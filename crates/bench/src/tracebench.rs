@@ -1,4 +1,4 @@
-//! Trace capture and replay passes for the experiment binaries.
+//! Trace capture and replay passes for `repro`.
 //!
 //! Capture records the synthetic run of a mix to an `SMTTRACE` container
 //! (`smt_isa::tracefile`); replay rebuilds a machine over
@@ -19,8 +19,7 @@
 //! wraps cyclically (deterministic, like synthetic script mode) rather
 //! than failing.
 
-use crate::attr::{explain_warmed, AttrOptions};
-use crate::cli::TraceCli;
+use crate::cli::RunOptions;
 use crate::exp::sweep_point_cells;
 use crate::params::ExpParams;
 use adts_core::{machine_for_mix_with, run_fixed, run_fixed_sampled, HeuristicKind};
@@ -189,14 +188,17 @@ impl TraceSweep {
     }
 }
 
-/// Handle the `--capture-trace` / `--trace` flags. Returns `Ok(true)` if
-/// a trace pass ran (the binary should then skip its normal experiments).
+/// Run the `--capture-trace` / `--trace` pass, which stands in for the
+/// experiments.
 ///
-/// Capture records every mix configured in `p`: a single mix goes to the
-/// given path verbatim; multiple mixes get `-<mixname>` inserted before
-/// the extension.
-pub fn run_cli(tc: &TraceCli, p: &ExpParams, attr: &AttrOptions) -> Result<bool, String> {
-    if let Some(path) = &tc.capture {
+/// Capture records every mix configured in `opts.params`: a single mix
+/// goes to the given path verbatim; multiple mixes get `-<mixname>`
+/// inserted before the extension. Replay runs the trace-backed sweep and
+/// returns the replayed machine, warmed like the sweep's, with its point
+/// name, for the instrumented pass.
+pub fn run_cli(opts: &RunOptions) -> Result<Option<(SmtMachine, String)>, String> {
+    let p = &opts.params;
+    if let Some(path) = &opts.capture_trace {
         let mixes = p.mixes();
         for mix in &mixes {
             let out = if mixes.len() == 1 {
@@ -225,27 +227,22 @@ pub fn run_cli(tc: &TraceCli, p: &ExpParams, attr: &AttrOptions) -> Result<bool,
             );
         }
     }
-    if let Some(path) = &tc.replay {
-        let file = load_trace(path)?;
-        let meta = file.meta();
-        println!(
-            "replaying {} — source '{}', {} threads, {} quanta of marks",
-            path.display(),
-            meta.source,
-            meta.threads.len(),
-            meta.quantum_marks.len()
-        );
-        let sweep = trace_threshold_type_sweep(&file, p).map_err(|e| e.to_string())?;
-        println!("{}", sweep.table().render());
-        if attr.enabled {
-            let m = warmed_trace_machine(&file, p).map_err(|e| e.to_string())?;
-            let name = format!("trace-{}", slugify(&meta.source));
-            explain_warmed(m, &name, FetchPolicy::Icount, p, attr)
-                .map_err(|e| format!("attr pass failed: {e}"))?;
-            println!("attr artifacts written to {}", attr.out_dir.display());
-        }
-    }
-    Ok(tc.active())
+    let Some(path) = &opts.trace else {
+        return Ok(None);
+    };
+    let file = load_trace(path)?;
+    let meta = file.meta();
+    println!(
+        "replaying {} — source '{}', {} threads, {} quanta of marks",
+        path.display(),
+        meta.source,
+        meta.threads.len(),
+        meta.quantum_marks.len()
+    );
+    let sweep = trace_threshold_type_sweep(&file, p).map_err(|e| e.to_string())?;
+    println!("{}", sweep.table().render());
+    let machine = warmed_trace_machine(&file, p).map_err(|e| e.to_string())?;
+    Ok(Some((machine, format!("trace-{}", slugify(&meta.source)))))
 }
 
 fn slugify(s: &str) -> String {
@@ -263,7 +260,6 @@ fn slugify(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adts_core::run_fixed_observed;
     use smt_sim::CounterSnapshot;
     use smt_workloads::mix;
 
@@ -296,12 +292,16 @@ mod tests {
             }
             let mut deltas_a: Vec<CounterSnapshot> = Vec::new();
             let mut deltas_b: Vec<CounterSnapshot> = Vec::new();
-            run_fixed_observed(policy, &mut synth, p.quanta, p.quantum_cycles, |_, d| {
+            run_fixed_sampled(policy, &mut synth, p.quanta, p.quantum_cycles, |_, _, d| {
                 deltas_a.push(d.clone())
             });
-            run_fixed_observed(policy, &mut replay, p.quanta, p.quantum_cycles, |_, d| {
-                deltas_b.push(d.clone())
-            });
+            run_fixed_sampled(
+                policy,
+                &mut replay,
+                p.quanta,
+                p.quantum_cycles,
+                |_, _, d| deltas_b.push(d.clone()),
+            );
             assert_eq!(deltas_a, deltas_b, "policy {}", policy.name());
         }
     }

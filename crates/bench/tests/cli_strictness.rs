@@ -1,24 +1,18 @@
-//! Every experiment binary must reject a malformed flag from every
-//! shared CLI family — strictly, with a nonzero exit and an error
-//! message, never by silently swallowing the bad value and running with
-//! a default (the `--jobs` trap `calibrate` used to fall into).
+//! `repro` must reject a malformed flag from every option group —
+//! strictly, with a nonzero exit and an error message, never by silently
+//! swallowing the bad value and running with a default (the `--jobs` trap
+//! the former `calibrate` binary fell into) or by panicking mid-run (the
+//! out-of-range `--mixes` id did).
 //!
-//! One table drives all three binaries: each case is a malformed
-//! invocation of one flag family, and each binary must refuse it. The
-//! binaries are invoked for real (via the `CARGO_BIN_EXE_*` paths cargo
-//! provides to integration tests), so this pins the actual argv
-//! plumbing, not a reimplementation of it.
+//! One table drives the checks: each case is a malformed invocation of
+//! one option group. The binary is invoked for real (via the
+//! `CARGO_BIN_EXE_repro` path cargo provides to integration tests), so
+//! this pins the actual argv plumbing, not a reimplementation of it.
 
 use std::process::Command;
 
-const BINS: &[(&str, &str)] = &[
-    ("repro", env!("CARGO_BIN_EXE_repro")),
-    ("calibrate", env!("CARGO_BIN_EXE_calibrate")),
-    ("characterize", env!("CARGO_BIN_EXE_characterize")),
-];
-
-/// (family, malformed argv) — one representative per shared CLI group,
-/// plus the flags of removed families.
+/// (group, malformed argv) — one representative per option group, plus
+/// the flags of removed groups.
 const CASES: &[(&str, &[&str])] = &[
     ("instrument", &["--obs-events", "many"]),
     ("instrument", &["--obs-out"]),
@@ -28,54 +22,46 @@ const CASES: &[(&str, &[&str])] = &[
     ("alloc", &["--alloc", "bogus-policy"]),
     ("spans", &["--spans-out"]),
     ("unknown", &["--frobnicate"]),
+    // Mix ids outside the suite must be refused before any simulation.
+    ("mixes", &["--smoke", "--mixes", "0", "table1"]),
+    ("mixes", &["--smoke", "--mixes", "14", "table1"]),
     // Options that no longer exist must be refused, not ignored.
     ("removed", &["--no-batch"]),
     ("removed", &["--no-skip"]),
     ("removed", &["--bench"]),
     ("removed", &["--quick"]),
+    ("removed", &["--all"]),
 ];
 
+fn assert_refused(group: &str, argv: &[&str]) {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(argv)
+        .output()
+        .expect("cannot spawn repro");
+    assert!(
+        !out.status.success(),
+        "repro accepted malformed {group} flags {argv:?}"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("error"),
+        "repro rejected {argv:?} without an error message; stderr: {stderr}"
+    );
+}
+
 #[test]
-fn every_binary_rejects_malformed_flags_from_every_cli_group() {
-    for (bin_name, bin_path) in BINS {
-        for (family, argv) in CASES {
-            let out = Command::new(bin_path)
-                .args(*argv)
-                .output()
-                .unwrap_or_else(|e| panic!("cannot spawn {bin_name}: {e}"));
-            assert!(
-                !out.status.success(),
-                "{bin_name} accepted malformed {family} flags {argv:?}"
-            );
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(
-                stderr.contains("error"),
-                "{bin_name} rejected {argv:?} without an error message; stderr: {stderr}"
-            );
-        }
+fn malformed_flags_from_every_cli_group_are_rejected() {
+    for (group, argv) in CASES {
+        assert_refused(group, argv);
     }
 }
 
 #[test]
-fn jobs_value_is_parsed_strictly_where_supported() {
-    // `--jobs` is bin-local (repro, calibrate), not a shared family; it
-    // must be exactly as strict as the shared ones. `calibrate` used to
-    // swallow a malformed value and silently run with the default.
-    for (bin_name, bin_path) in BINS.iter().filter(|(n, _)| *n != "characterize") {
-        for argv in [&["--jobs"][..], &["--jobs", "many"][..]] {
-            let out = Command::new(bin_path)
-                .args(argv)
-                .output()
-                .unwrap_or_else(|e| panic!("cannot spawn {bin_name}: {e}"));
-            assert!(
-                !out.status.success(),
-                "{bin_name} accepted malformed {argv:?}"
-            );
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(
-                stderr.contains("error"),
-                "{bin_name} rejected {argv:?} without an error message; stderr: {stderr}"
-            );
-        }
+fn jobs_value_is_parsed_strictly() {
+    // `--jobs` must be exactly as strict as every other option: the
+    // former `calibrate` binary swallowed a malformed value and silently
+    // ran with the default.
+    for argv in [&["--jobs"][..], &["--jobs", "many"][..]] {
+        assert_refused("jobs", argv);
     }
 }

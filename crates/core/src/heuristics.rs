@@ -48,7 +48,7 @@ pub struct CondThresholds {
 
 impl Default for CondThresholds {
     fn default() -> Self {
-        // Means over the 13 mixes on this substrate (see `calibrate`).
+        // Means over the 13 mixes on this substrate (see `repro calibrate`).
         CondThresholds {
             l1_miss_rate: 0.75,
             lsq_full_rate: 0.17,

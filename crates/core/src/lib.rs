@@ -27,7 +27,7 @@
 //! - [`jobsched`] — the job-scheduler integration the paper describes in
 //!   §3/§7 (context-switching clog-marked threads) but does not evaluate;
 //! - [`oracle`] — the per-quantum exhaustive upper bound;
-//! - [`runner`] — fixed/adaptive/oracle drivers used by the experiments.
+//! - [`runner`] — fixed/adaptive drivers used by the experiments.
 
 pub mod adaptive;
 pub mod alloc;
@@ -62,7 +62,6 @@ pub use lockstep::{FixedCell, PointCell};
 pub use obs::register_series_metrics;
 pub use oracle::{run_oracle, OracleConfig};
 pub use runner::{
-    machine_for_mix, machine_for_mix_with, run_adaptive, run_fixed, run_fixed_observed,
-    run_fixed_sampled, run_oracle_on,
+    machine_for_mix, machine_for_mix_with, run_adaptive, run_fixed, run_fixed_sampled,
 };
 pub use threshold::ThresholdMode;

@@ -1,13 +1,12 @@
 //! Convenience experiment drivers.
 //!
-//! Thin wrappers that run a machine for N quanta under fixed, adaptive or
-//! oracle scheduling and return the per-quantum [`RunSeries`] the
-//! experiment harness aggregates. They also centralize machine
-//! construction from a [`Mix`].
+//! Thin wrappers that run a machine for N quanta under fixed or adaptive
+//! scheduling and return the per-quantum [`RunSeries`] the experiment
+//! harness aggregates (the oracle's driver is [`crate::run_oracle`]). They
+//! also centralize machine construction from a [`Mix`].
 
 use crate::adaptive::{AdaptiveScheduler, AdtsConfig};
 use crate::indicators::{MachineSnapshot, QuantumStats};
-use crate::oracle::{run_oracle, OracleConfig};
 use smt_policies::{FetchPolicy, Tsu};
 use smt_sim::{CounterSnapshot, SimConfig, SmtMachine};
 use smt_stats::{QuantumRecord, RunSeries};
@@ -32,31 +31,18 @@ pub fn run_fixed(
     quanta: u64,
     quantum_cycles: u64,
 ) -> RunSeries {
-    run_fixed_observed(policy, machine, quanta, quantum_cycles, |_, _| {})
+    run_fixed_sampled(policy, machine, quanta, quantum_cycles, |_, _, _| {})
 }
 
 /// [`run_fixed`] with a per-quantum observer hook.
 ///
-/// After each quantum the observer receives the quantum index and the
-/// per-quantum *delta* of every thread's status indicators
-/// ([`CounterSnapshot::delta`]) — the raw material telemetry and external
-/// analyses build on, at the same granularity the detector thread samples.
-pub fn run_fixed_observed(
-    policy: FetchPolicy,
-    machine: &mut SmtMachine,
-    quanta: u64,
-    quantum_cycles: u64,
-    mut observer: impl FnMut(u64, &CounterSnapshot),
-) -> RunSeries {
-    run_fixed_sampled(policy, machine, quanta, quantum_cycles, |i, _m, d| {
-        observer(i, d)
-    })
-}
-
-/// [`run_fixed_observed`] plus read access to the machine itself: the
-/// observer additionally receives `&SmtMachine` after each quantum, which
-/// is what an occupancy sampler (`smt_sim::obs::PipelineSampler`) needs —
-/// queue depths are instantaneous state, not counter deltas.
+/// After each quantum the observer receives the quantum index, the
+/// machine itself and the per-quantum *delta* of every thread's status
+/// indicators ([`CounterSnapshot::delta`]) — the raw material telemetry
+/// and external analyses build on, at the same granularity the detector
+/// thread samples. The machine is what an occupancy sampler
+/// (`smt_sim::obs::PipelineSampler`) needs: queue depths are
+/// instantaneous state, not counter deltas.
 pub fn run_fixed_sampled(
     policy: FetchPolicy,
     machine: &mut SmtMachine,
@@ -102,11 +88,6 @@ pub fn run_adaptive(cfg: AdtsConfig, machine: &mut SmtMachine, quanta: u64) -> R
     AdaptiveScheduler::new(cfg, machine.n_threads()).run(machine, quanta)
 }
 
-/// Run the oracle scheduler for `quanta` quanta.
-pub fn run_oracle_on(cfg: &OracleConfig, machine: &mut SmtMachine, quanta: u64) -> RunSeries {
-    run_oracle(cfg, machine, quanta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,7 +122,7 @@ mod tests {
         let m = mix(10).take_threads(2, 1);
         let mut machine = machine_for_mix(&m, 5);
         let mut seen = Vec::new();
-        let series = run_fixed_observed(FetchPolicy::Icount, &mut machine, 3, 2048, |i, d| {
+        let series = run_fixed_sampled(FetchPolicy::Icount, &mut machine, 3, 2048, |i, _, d| {
             seen.push((i, d.cycle, d.committed()));
         });
         assert_eq!(seen.len(), 3);

@@ -176,10 +176,10 @@ proptest! {
         // Quantum 1 under ICOUNT, compared delta-by-delta…
         let mut da: Vec<CounterSnapshot> = Vec::new();
         let mut db: Vec<CounterSnapshot> = Vec::new();
-        adts::run_fixed_observed(FetchPolicy::Icount, &mut synth, 1, p.quantum_cycles,
-            |_, d| da.push(d.clone()));
-        adts::run_fixed_observed(FetchPolicy::Icount, &mut replay, 1, p.quantum_cycles,
-            |_, d| db.push(d.clone()));
+        adts::run_fixed_sampled(FetchPolicy::Icount, &mut synth, 1, p.quantum_cycles,
+            |_, _, d| da.push(d.clone()));
+        adts::run_fixed_sampled(FetchPolicy::Icount, &mut replay, 1, p.quantum_cycles,
+            |_, _, d| db.push(d.clone()));
         prop_assert_eq!(&da, &db, "first measured quantum diverged");
 
         // …then a checkpoint/restore of the replay machine mid-trace: the
@@ -187,12 +187,12 @@ proptest! {
         let bytes = MachineSnapshot::capture(&replay).to_bytes();
         let mut restored = MachineSnapshot::from_bytes(&bytes).unwrap().restore();
         let (mut d2s, mut d2r, mut d2x) = (Vec::new(), Vec::new(), Vec::new());
-        adts::run_fixed_observed(FetchPolicy::Icount, &mut synth, 1, p.quantum_cycles,
-            |_, d| d2s.push(d.clone()));
-        adts::run_fixed_observed(FetchPolicy::Icount, &mut replay, 1, p.quantum_cycles,
-            |_, d| d2r.push(d.clone()));
-        adts::run_fixed_observed(FetchPolicy::Icount, &mut restored, 1, p.quantum_cycles,
-            |_, d| d2x.push(d.clone()));
+        adts::run_fixed_sampled(FetchPolicy::Icount, &mut synth, 1, p.quantum_cycles,
+            |_, _, d| d2s.push(d.clone()));
+        adts::run_fixed_sampled(FetchPolicy::Icount, &mut replay, 1, p.quantum_cycles,
+            |_, _, d| d2r.push(d.clone()));
+        adts::run_fixed_sampled(FetchPolicy::Icount, &mut restored, 1, p.quantum_cycles,
+            |_, _, d| d2x.push(d.clone()));
         prop_assert_eq!(&d2s, &d2r, "second measured quantum diverged");
         prop_assert_eq!(&d2r, &d2x, "restored replay diverged from uninterrupted replay");
         prop_assert_eq!(

@@ -55,7 +55,7 @@ fn warm(m: &mut SmtMachine) {
 
 fn observed_deltas(policy: FetchPolicy, m: &mut SmtMachine, quanta: u64) -> Vec<CounterSnapshot> {
     let mut deltas = Vec::new();
-    adts::run_fixed_observed(policy, m, quanta, TRACE_QUANTUM_CYCLES, |_, d| {
+    adts::run_fixed_sampled(policy, m, quanta, TRACE_QUANTUM_CYCLES, |_, _, d| {
         deltas.push(d.clone())
     });
     deltas
