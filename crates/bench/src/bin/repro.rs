@@ -8,6 +8,7 @@
 //! `repro --help` lists the experiments and options; [`smt_bench::cli`]
 //! parses and validates them into one [`RunOptions`].
 
+use smt_bench::SweepMetric::{BenignProb, Ipc, Switches};
 use smt_bench::{
     ablate_cond, ablate_dt, ablate_fetchmech, ablate_prefetch, ablate_quantum, ablate_rotation,
     ablate_threshold, alloc_sweep, calibrate, characterize, cli, headline, headline_random,
@@ -124,14 +125,14 @@ fn run_experiments(opts: &RunOptions) {
         let sw = threshold_type_sweep(p);
         println!("{}\n", sweep::engine().scope_summary());
         if opts.wants("fig7") {
-            emit(&sw.fig7a(), "e2_fig7a", &opts.out);
-            emit(&sw.fig7b(), "e3_fig7b", &opts.out);
-            emit(&sw.fig7c(), "e4_fig7c", &opts.out);
-            emit(&sw.fig7d(), "e5_fig7d", &opts.out);
+            emit(&sw.by_threshold(Switches), "e2_fig7a", &opts.out);
+            emit(&sw.by_type(Switches), "e3_fig7b", &opts.out);
+            emit(&sw.by_threshold(BenignProb), "e4_fig7c", &opts.out);
+            emit(&sw.by_type(BenignProb), "e5_fig7d", &opts.out);
         }
         if opts.wants("fig8") {
-            emit(&sw.fig8a(), "e6_fig8a", &opts.out);
-            emit(&sw.fig8b(), "e7_fig8b", &opts.out);
+            emit(&sw.by_threshold(Ipc), "e6_fig8a", &opts.out);
+            emit(&sw.by_type(Ipc), "e7_fig8b", &opts.out);
             let (m, k, ipc) = sw.best();
             println!(
                 "best operating point: {} at m={} (mean IPC {:.3})\n",

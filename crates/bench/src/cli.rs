@@ -11,6 +11,7 @@
 
 use crate::params::ExpParams;
 use adts_core::AllocKind;
+use smt_sim::config::MAX_LATENCY;
 use smt_workloads::MIX_COUNT;
 use std::fmt::Display;
 use std::path::PathBuf;
@@ -113,7 +114,8 @@ Options:
   --cores N         cores sharing the L2 in the alloc experiment (default 2)
   --alloc NAME      restrict alloc to this allocation policy (repeatable;
                     default: all four)
-  --mig-penalty N   cold-frontend cycles charged per migration (default 256)
+  --mig-penalty N   cold-frontend cycles charged per migration (default 256,
+                    at most 65536, the longest latency a machine allows)
   --help            this text
 ";
 
@@ -268,7 +270,15 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<RunOptions, Strin
                     o.alloc.push(kind);
                 }
             }
-            "--mig-penalty" => o.mig_penalty = number(&arg, value()?)?,
+            "--mig-penalty" => {
+                o.mig_penalty = number(&arg, value()?)?;
+                if o.mig_penalty > MAX_LATENCY {
+                    return Err(format!(
+                        "--mig-penalty {} exceeds the {MAX_LATENCY}-cycle maximum",
+                        o.mig_penalty
+                    ));
+                }
+            }
             exp if !exp.starts_with('-') => {
                 if !EXPERIMENTS.contains(&exp) {
                     return Err(format!(
@@ -453,6 +463,7 @@ mod tests {
             &["--cores", "many"],
             &["--alloc"],
             &["--mig-penalty", "-1"],
+            &["--mig-penalty", "65537"],
             &["--mixes", ""],
             &["--frobnicate"],
             &["--all"],
@@ -503,6 +514,16 @@ mod tests {
         assert!(!p(&["--capture-trace", "t.smttrace"]).unwrap().help);
         for &e in EXPERIMENTS {
             assert!(USAGE.contains(e), "usage text misses {e}");
+        }
+    }
+
+    #[test]
+    fn mig_penalty_is_bounded_by_the_longest_latency() {
+        let o = p(&["--mig-penalty", &MAX_LATENCY.to_string(), "alloc"]).unwrap();
+        assert_eq!(o.mig_penalty, MAX_LATENCY);
+        for v in ["65537", "18446744073709551615"] {
+            let err = p(&["--mig-penalty", v, "alloc"]).unwrap_err();
+            assert!(err.contains("65536-cycle maximum"), "{err}");
         }
     }
 

@@ -10,13 +10,13 @@ use crate::params::ExpParams;
 use crate::sweep;
 use crate::warm::{warmed_machine, warmed_machine_with};
 use adts_core::{
-    adaptive::SelfTuning, machine_for_mix, run_fixed, run_oracle, AdaptiveScheduler, AdtsConfig,
-    AllocCell, AllocKind, CondThresholds, DtModel, EvictionPolicy, HeuristicKind, JobSchedConfig,
-    JobScheduler, OracleConfig,
+    adaptive::SelfTuning, machine_for_mix, run_oracle, AdaptiveScheduler, AdtsConfig, AllocCell,
+    AllocKind, CondThresholds, DtModel, EvictionPolicy, HeuristicKind, JobSchedConfig,
+    JobScheduler, OracleConfig, PointCell,
 };
 use serde::{Deserialize, Serialize};
 use smt_policies::{FetchPolicy, Tsu};
-use smt_sim::{SimConfig, SmtMachine};
+use smt_sim::{run_scalar_quantum, SimConfig, SmtMachine};
 use smt_stats::{mean, QuantumRecord, RunSeries, Table};
 use smt_workloads::{app, app_names, thread_addr_base, Mix, UopStream, MIX_COUNT};
 use std::sync::Arc;
@@ -39,18 +39,59 @@ fn default_cfg(mix: &Mix) -> SimConfig {
     SimConfig::with_threads(mix.apps.len())
 }
 
-/// Fixed-policy run on a warmed machine (cached by content key).
+/// What a cached single-core point steps: a fixed policy, or ADTS with an
+/// optional Type 2 rotation override.
+enum Spec {
+    Fixed(FetchPolicy),
+    Adaptive(AdtsConfig, Option<Vec<FetchPolicy>>),
+}
+
+/// Recall a single-core point from the result cache, or compute it with
+/// `run`. The key is (kind, mix, params, `cfg`, spec); `label` names the
+/// point after its mix in telemetry and spans.
+fn cached_point(
+    mix: &Mix,
+    p: &ExpParams,
+    cfg: &SimConfig,
+    spec: &Spec,
+    label: &str,
+    run: impl FnOnce() -> RunSeries,
+) -> RunSeries {
+    let (kind, key) = match spec {
+        Spec::Fixed(pol) => ("fixed", sweep::point_key("fixed", mix, p, &(cfg, pol))),
+        Spec::Adaptive(a, rot) => (
+            "adaptive",
+            sweep::point_key("adaptive", mix, p, &(cfg, a, rot)),
+        ),
+    };
+    sweep::engine().run_series(kind, &format!("{}/{label}", mix.name), key, run)
+}
+
+/// One cached single-core point: a machine built with `cfg` and warmed
+/// through the pool steps `spec`'s cell for `p.quanta` quanta.
+fn point_series(mix: &Mix, p: &ExpParams, cfg: SimConfig, spec: Spec, label: &str) -> RunSeries {
+    cached_point(mix, p, &cfg, &spec, label, || {
+        let mut m = warmed_machine_with(cfg.clone(), mix, p);
+        let mut cell = match &spec {
+            Spec::Fixed(policy) => PointCell::fixed(*policy, p.quantum_cycles),
+            Spec::Adaptive(acfg, rotation) => {
+                let mut sched = AdaptiveScheduler::new(*acfg, m.n_threads());
+                if let Some(r) = rotation {
+                    sched.set_rotation(r.clone());
+                }
+                PointCell::Adaptive(Box::new(sched))
+            }
+        };
+        for _ in 0..p.quanta {
+            run_scalar_quantum(&mut cell, &mut m);
+        }
+        cell.into_series()
+    })
+}
+
+/// Fixed-policy run on a warmed machine.
 pub fn fixed_series(mix: &Mix, policy: FetchPolicy, p: &ExpParams) -> RunSeries {
-    let key = sweep::point_key("fixed", mix, p, &(default_cfg(mix), policy));
-    sweep::engine().run_series(
-        "fixed",
-        &format!("{}/{}", mix.name, policy.name()),
-        key,
-        || {
-            let mut m = warmed_machine(mix, p);
-            run_fixed(policy, &mut m, p.quanta, p.quantum_cycles)
-        },
-    )
+    point_series(mix, p, default_cfg(mix), Spec::Fixed(policy), policy.name())
 }
 
 /// Adaptive run on a warmed machine.
@@ -65,24 +106,8 @@ pub fn adaptive_series_with(
     p: &ExpParams,
     rotation: Option<Vec<FetchPolicy>>,
 ) -> RunSeries {
-    let key = sweep::point_key(
-        "adaptive",
-        mix,
-        p,
-        &(default_cfg(mix), cfg, rotation.clone()),
-    );
-    let point = format!("{}/{}", mix.name, cfg.heuristic.name());
-    sweep::engine().run_series("adaptive", &point, key, || {
-        let mut m = warmed_machine(mix, p);
-        let mut sched = AdaptiveScheduler::new(cfg, m.n_threads());
-        if let Some(r) = rotation {
-            sched.set_rotation(r);
-        }
-        for _ in 0..p.quanta {
-            sched.run_quantum(&mut m);
-        }
-        sched.into_series()
-    })
+    let spec = Spec::Adaptive(cfg, rotation);
+    point_series(mix, p, default_cfg(mix), spec, cfg.heuristic.name())
 }
 
 fn adts(heuristic: HeuristicKind, m: f64, p: &ExpParams) -> AdtsConfig {
@@ -236,8 +261,7 @@ pub(crate) fn sweep_point_cells(
     thresholds: &[f64],
     kinds: &[HeuristicKind],
     p: &ExpParams,
-) -> Vec<adts_core::PointCell> {
-    use adts_core::PointCell;
+) -> Vec<PointCell> {
     let mut cells = vec![PointCell::fixed(FetchPolicy::Icount, p.quantum_cycles)];
     for &m in thresholds {
         for &k in kinds {
@@ -256,7 +280,6 @@ pub(crate) fn run_mix_batch(
     kinds: &[HeuristicKind],
     p: &ExpParams,
 ) -> (Vec<RunSeries>, smt_sim::BatchStats) {
-    use adts_core::PointCell;
     let machine = warmed_machine(mix, p);
     let cells = sweep_point_cells(machine.n_threads(), thresholds, kinds, p);
     let mut batch = smt_sim::MachineBatch::new(machine, cells);
@@ -293,11 +316,12 @@ fn threshold_type_sweep_batched(
 
     let icount: Vec<f64> = par_map((0..mixes.len()).collect(), |&mi| {
         let mix = &mixes[mi];
-        let key = sweep::point_key("fixed", mix, p, &(default_cfg(mix), FetchPolicy::Icount));
-        let point = format!("{}/{}", mix.name, FetchPolicy::Icount.name());
-        sweep::engine()
-            .run_series("fixed", &point, key, || series_for(mi, 0))
-            .aggregate_ipc()
+        let spec = Spec::Fixed(FetchPolicy::Icount);
+        let label = FetchPolicy::Icount.name();
+        let s = cached_point(mix, p, &default_cfg(mix), &spec, label, || {
+            series_for(mi, 0)
+        });
+        s.aggregate_ipc()
     });
 
     let mut points = Vec::new();
@@ -310,16 +334,11 @@ fn threshold_type_sweep_batched(
     }
     let results = par_map(points.clone(), |&(ti, ki, mi, m, k)| {
         let mix = &mixes[mi];
-        let cfg = adts(k, m, p);
-        let key = sweep::point_key(
-            "adaptive",
-            mix,
-            p,
-            &(default_cfg(mix), cfg, None::<Vec<FetchPolicy>>),
-        );
-        let point = format!("{}/{}", mix.name, cfg.heuristic.name());
+        let spec = Spec::Adaptive(adts(k, m, p), None);
         let cell = 1 + ti * kinds.len() + ki;
-        let s = sweep::engine().run_series("adaptive", &point, key, || series_for(mi, cell));
+        let s = cached_point(mix, p, &default_cfg(mix), &spec, k.name(), || {
+            series_for(mi, cell)
+        });
         SweepCell {
             ipc: s.aggregate_ipc(),
             switches: s.switches.len(),
@@ -342,6 +361,16 @@ fn threshold_type_sweep_batched(
     }
 }
 
+/// What a Fig 7/8 table shows per (threshold, heuristic type): mean
+/// switches per run (Fig 7(a,b)), the probability that a switch was benign
+/// (Fig 7(c,d)) or mean aggregate IPC (Fig 8).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SweepMetric {
+    Switches,
+    BenignProb,
+    Ipc,
+}
+
 impl ThresholdTypeSweep {
     fn mean_over_mixes(&self, ti: usize, ki: usize, f: impl Fn(&SweepCell) -> f64) -> f64 {
         let vals: Vec<f64> = self.cells[ti][ki].iter().map(f).collect();
@@ -354,153 +383,81 @@ impl ThresholdTypeSweep {
         (judged > 0).then(|| benign as f64 / judged as f64)
     }
 
-    fn header_kinds(&self) -> Vec<String> {
-        self.kinds.iter().map(|k| k.name().to_string()).collect()
+    /// One (threshold, type) entry of a Fig 7/8 table, formatted.
+    fn entry(&self, metric: SweepMetric, ti: usize, ki: usize) -> String {
+        match metric {
+            SweepMetric::Switches => {
+                format!("{:.1}", self.mean_over_mixes(ti, ki, |c| c.switches as f64))
+            }
+            SweepMetric::BenignProb => match self.benign_prob(ti, ki) {
+                Some(p) => format!("{p:.3}"),
+                None => "-".to_string(),
+            },
+            SweepMetric::Ipc => f3(self.mean_over_mixes(ti, ki, |c| c.ipc)),
+        }
     }
 
-    /// Fig 7(a): number of switchings vs threshold value (one column per
-    /// heuristic; mean switches per run of `quanta` quanta).
-    pub fn fig7a(&self) -> Table {
-        let hk = self.header_kinds();
-        let mut headers = vec!["threshold".to_string()];
-        headers.extend(hk);
-        let hrefs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-        let mut t = Table::new(
-            &format!(
-                "E2 / Fig 7(a) — switchings per {} quanta vs threshold",
-                self.quanta
-            ),
-            &hrefs,
-        );
+    fn title(&self, metric: SweepMetric, by_type: bool) -> String {
+        let (id, tail) = match (metric, by_type) {
+            (SweepMetric::Switches, false) => ("E2 / Fig 7(a)", ""),
+            (SweepMetric::Switches, true) => ("E3 / Fig 7(b)", ""),
+            (SweepMetric::BenignProb, false) => ("E4 / Fig 7(c)", ""),
+            (SweepMetric::BenignProb, true) => ("E5 / Fig 7(d)", ""),
+            (SweepMetric::Ipc, false) => ("E6 / Fig 8(a,c)", " (mean over mixes)"),
+            (SweepMetric::Ipc, true) => ("E7 / Fig 8(b,d)", " (mean over mixes)"),
+        };
+        let measure = match metric {
+            SweepMetric::Switches => format!("switchings per {} quanta", self.quanta),
+            SweepMetric::BenignProb => "probability of benign switches".to_string(),
+            SweepMetric::Ipc => "aggregate IPC".to_string(),
+        };
+        let axis = if by_type {
+            "heuristic type"
+        } else {
+            "threshold"
+        };
+        format!("{id} — {measure} vs {axis}{tail}")
+    }
+
+    /// The fixed-ICOUNT baseline entry the IPC tables carry (Fig 8).
+    fn baseline(&self, metric: SweepMetric) -> Option<String> {
+        (metric == SweepMetric::Ipc).then(|| f3(mean(&self.icount)))
+    }
+
+    /// Fig 7(a), 7(c), 8(a,c): one row per threshold, one column per
+    /// heuristic type; the IPC table adds a fixed-ICOUNT column.
+    pub fn by_threshold(&self, metric: SweepMetric) -> Table {
+        let base = self.baseline(metric);
+        let mut headers = vec!["threshold"];
+        headers.extend(self.kinds.iter().map(|k| k.name()));
+        headers.extend(base.as_ref().map(|_| "fixed ICOUNT"));
+        let mut t = Table::new(&self.title(metric, false), &headers);
         for (ti, m) in self.thresholds.iter().enumerate() {
             let mut row = vec![format!("m={m}")];
-            for ki in 0..self.kinds.len() {
-                row.push(format!(
-                    "{:.1}",
-                    self.mean_over_mixes(ti, ki, |c| c.switches as f64)
-                ));
-            }
+            row.extend((0..self.kinds.len()).map(|ki| self.entry(metric, ti, ki)));
+            row.extend(base.clone());
             t.row(row);
         }
         t
     }
 
-    /// Fig 7(b): number of switchings vs heuristic type (one column per m).
-    pub fn fig7b(&self) -> Table {
+    /// Fig 7(b), 7(d), 8(b,d): one row per heuristic type, one column per
+    /// threshold; the IPC table adds a fixed-ICOUNT row.
+    pub fn by_type(&self, metric: SweepMetric) -> Table {
         let mut headers = vec!["type".to_string()];
         headers.extend(self.thresholds.iter().map(|m| format!("m={m}")));
         let hrefs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-        let mut t = Table::new(
-            &format!(
-                "E3 / Fig 7(b) — switchings per {} quanta vs heuristic type",
-                self.quanta
-            ),
-            &hrefs,
-        );
+        let mut t = Table::new(&self.title(metric, true), &hrefs);
         for (ki, k) in self.kinds.iter().enumerate() {
             let mut row = vec![k.name().to_string()];
-            for ti in 0..self.thresholds.len() {
-                row.push(format!(
-                    "{:.1}",
-                    self.mean_over_mixes(ti, ki, |c| c.switches as f64)
-                ));
-            }
+            row.extend((0..self.thresholds.len()).map(|ti| self.entry(metric, ti, ki)));
             t.row(row);
         }
-        t
-    }
-
-    /// Fig 7(c): probability of benign switches vs threshold value.
-    pub fn fig7c(&self) -> Table {
-        let hk = self.header_kinds();
-        let mut headers = vec!["threshold".to_string()];
-        headers.extend(hk);
-        let hrefs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-        let mut t = Table::new(
-            "E4 / Fig 7(c) — probability of benign switches vs threshold",
-            &hrefs,
-        );
-        for (ti, m) in self.thresholds.iter().enumerate() {
-            let mut row = vec![format!("m={m}")];
-            for ki in 0..self.kinds.len() {
-                row.push(match self.benign_prob(ti, ki) {
-                    Some(p) => format!("{p:.3}"),
-                    None => "-".to_string(),
-                });
-            }
+        if let Some(base) = self.baseline(metric) {
+            let mut row = vec!["fixed ICOUNT".to_string()];
+            row.extend(self.thresholds.iter().map(|_| base.clone()));
             t.row(row);
         }
-        t
-    }
-
-    /// Fig 7(d): probability of benign switches vs heuristic type.
-    pub fn fig7d(&self) -> Table {
-        let mut headers = vec!["type".to_string()];
-        headers.extend(self.thresholds.iter().map(|m| format!("m={m}")));
-        let hrefs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-        let mut t = Table::new(
-            "E5 / Fig 7(d) — probability of benign switches vs heuristic type",
-            &hrefs,
-        );
-        for (ki, k) in self.kinds.iter().enumerate() {
-            let mut row = vec![k.name().to_string()];
-            for ti in 0..self.thresholds.len() {
-                row.push(match self.benign_prob(ti, ki) {
-                    Some(p) => format!("{p:.3}"),
-                    None => "-".to_string(),
-                });
-            }
-            t.row(row);
-        }
-        t
-    }
-
-    /// Fig 8(a)/(c): aggregate IPC vs threshold value (column per type,
-    /// plus the fixed-ICOUNT baseline).
-    pub fn fig8a(&self) -> Table {
-        let hk = self.header_kinds();
-        let mut headers = vec!["threshold".to_string()];
-        headers.extend(hk);
-        headers.push("fixed ICOUNT".to_string());
-        let hrefs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-        let mut t = Table::new(
-            "E6 / Fig 8(a,c) — aggregate IPC vs threshold (mean over mixes)",
-            &hrefs,
-        );
-        let base = mean(&self.icount);
-        for (ti, m) in self.thresholds.iter().enumerate() {
-            let mut row = vec![format!("m={m}")];
-            for ki in 0..self.kinds.len() {
-                row.push(f3(self.mean_over_mixes(ti, ki, |c| c.ipc)));
-            }
-            row.push(f3(base));
-            t.row(row);
-        }
-        t
-    }
-
-    /// Fig 8(b)/(d): aggregate IPC vs heuristic type (column per m).
-    pub fn fig8b(&self) -> Table {
-        let mut headers = vec!["type".to_string()];
-        headers.extend(self.thresholds.iter().map(|m| format!("m={m}")));
-        let hrefs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-        let mut t = Table::new(
-            "E7 / Fig 8(b,d) — aggregate IPC vs heuristic type (mean over mixes)",
-            &hrefs,
-        );
-        for (ki, k) in self.kinds.iter().enumerate() {
-            let mut row = vec![k.name().to_string()];
-            for ti in 0..self.thresholds.len() {
-                row.push(f3(self.mean_over_mixes(ti, ki, |c| c.ipc)));
-            }
-            t.row(row);
-        }
-        let mut row = vec!["fixed ICOUNT".to_string()];
-        let base = mean(&self.icount);
-        for _ in 0..self.thresholds.len() {
-            row.push(f3(base));
-        }
-        t.row(row);
         t
     }
 
@@ -970,15 +927,10 @@ pub fn ablate_fetchmech(p: &ExpParams) -> Table {
     let rows = par_map(mechs.to_vec(), |&(name, threads_per_cycle, width)| {
         let mut ipcs = Vec::new();
         for mix in &mixes {
-            let mut cfg = smt_sim::SimConfig::with_threads(mix.apps.len());
+            let mut cfg = default_cfg(mix);
             cfg.max_fetch_threads = threads_per_cycle.min(mix.apps.len());
             cfg.fetch_width = width;
-            let key = sweep::point_key("fetchmech", mix, p, &(cfg.clone(), FetchPolicy::Icount));
-            let point = format!("{}/{name}", mix.name);
-            let s = sweep::engine().run_series("fetchmech", &point, key, || {
-                let mut m = warmed_machine_with(cfg.clone(), mix, p);
-                run_fixed(FetchPolicy::Icount, &mut m, p.quanta, p.quantum_cycles)
-            });
+            let s = point_series(mix, p, cfg, Spec::Fixed(FetchPolicy::Icount), name);
             ipcs.push(s.aggregate_ipc());
         }
         (name, mean(&ipcs))
@@ -1001,32 +953,13 @@ pub fn ablate_prefetch(p: &ExpParams) -> Table {
     let rows = par_map(points, |&prefetch| {
         let (mut ic, mut ad) = (Vec::new(), Vec::new());
         for mix in &mixes {
-            let mut cfg = smt_sim::SimConfig::with_threads(mix.apps.len());
+            let mut cfg = default_cfg(mix);
             cfg.next_line_prefetch = prefetch;
-            let fixed_key = sweep::point_key(
-                "prefetch-fixed",
-                mix,
-                p,
-                &(cfg.clone(), FetchPolicy::Icount),
-            );
-            let point = format!("{}/prefetch={prefetch}", mix.name);
-            let cfg_fixed = cfg.clone();
-            let s = sweep::engine().run_series("fixed", &point, fixed_key, || {
-                let mut m = warmed_machine_with(cfg_fixed, mix, p);
-                run_fixed(FetchPolicy::Icount, &mut m, p.quanta, p.quantum_cycles)
-            });
-            ic.push(s.aggregate_ipc());
-            let acfg = adts(HeuristicKind::Type1, 4.0, p);
-            let ad_key = sweep::point_key("prefetch-adaptive", mix, p, &(cfg.clone(), acfg));
-            let s = sweep::engine().run_series("adaptive", &point, ad_key, || {
-                let mut m = warmed_machine_with(cfg, mix, p);
-                let mut sched = AdaptiveScheduler::new(acfg, m.n_threads());
-                for _ in 0..p.quanta {
-                    sched.run_quantum(&mut m);
-                }
-                sched.into_series()
-            });
-            ad.push(s.aggregate_ipc());
+            let label = format!("prefetch={prefetch}");
+            let fixed = Spec::Fixed(FetchPolicy::Icount);
+            ic.push(point_series(mix, p, cfg.clone(), fixed, &label).aggregate_ipc());
+            let adaptive = Spec::Adaptive(adts(HeuristicKind::Type1, 4.0, p), None);
+            ad.push(point_series(mix, p, cfg, adaptive, &label).aggregate_ipc());
         }
         (prefetch, mean(&ic), mean(&ad))
     });
@@ -1505,12 +1438,12 @@ mod tests {
             ..smoke()
         };
         let sw = threshold_type_sweep(&p);
-        assert_eq!(sw.fig7a().n_rows(), 5);
-        assert_eq!(sw.fig7b().n_rows(), 5);
-        assert_eq!(sw.fig7c().n_rows(), 5);
-        assert_eq!(sw.fig7d().n_rows(), 5);
-        assert_eq!(sw.fig8a().n_rows(), 5);
-        assert_eq!(sw.fig8b().n_rows(), 6); // 5 types + baseline row
+        for metric in [SweepMetric::Switches, SweepMetric::BenignProb] {
+            assert_eq!(sw.by_threshold(metric).n_rows(), 5);
+            assert_eq!(sw.by_type(metric).n_rows(), 5);
+        }
+        assert_eq!(sw.by_threshold(SweepMetric::Ipc).n_rows(), 5);
+        assert_eq!(sw.by_type(SweepMetric::Ipc).n_rows(), 6); // 5 types + baseline row
         let (m, _, ipc) = sw.best();
         assert!(m >= 1.0 && ipc > 0.0);
     }
@@ -1591,6 +1524,27 @@ mod tests {
             ..smoke()
         };
         assert_eq!(ablate_prefetch(&p).n_rows(), 2);
+    }
+
+    /// A5's ICOUNT2.8 is the default fetch mechanism and A6's prefetch-off
+    /// point the default memory system, so each must show what the main
+    /// tables report for the same default-config point.
+    #[test]
+    fn ablation_default_points_reproduce_the_baselines() {
+        let p = ExpParams {
+            mix_ids: vec![1, 9],
+            ..smoke()
+        };
+        let icount = table1(&p).cell("MEAN", "ICOUNT").map(str::to_string);
+        let a5 = ablate_fetchmech(&p);
+        let a6 = ablate_prefetch(&p);
+        assert!(icount.is_some());
+        assert_eq!(a5.cell("ICOUNT2.8", "mean IPC"), icount.as_deref());
+        assert_eq!(a6.cell("off", "ICOUNT IPC"), icount.as_deref());
+        let fig8 = threshold_type_sweep(&p).by_threshold(SweepMetric::Ipc);
+        let adts = fig8.cell("m=4", "Type 1");
+        assert!(adts.is_some());
+        assert_eq!(a6.cell("off", "ADTS(T1,m4) IPC"), adts);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 
 use crate::params::ExpParams;
 use crate::sweep::{self, CkptStore};
-use adts_core::{machine_for_mix_with, multicore_for_mix, run_fixed, run_fixed_multicore};
+use adts_core::{machine_for_mix_with, multicore_for_mix, run_alloc, run_fixed, AllocKind};
 use smt_policies::FetchPolicy;
 use smt_sim::snapshot::MachineSnapshot;
 use smt_sim::{MultiCoreMachine, MultiCoreSnapshot, SimConfig, SmtMachine};
@@ -76,7 +76,7 @@ pub struct WarmPool {
     slots: Mutex<HashMap<u128, WarmSlot>>,
     /// Multi-core warm snapshots. In-memory only: the on-disk store
     /// speaks single-machine snapshots, and a multi-core warmup is one
-    /// `run_fixed_multicore` away from its (pooled) ingredients.
+    /// static-placement `run_alloc` away from its (pooled) ingredients.
     mc_slots: Mutex<HashMap<u128, McWarmSlot>>,
     store: Mutex<Option<Arc<CkptStore>>>,
     disabled: AtomicBool,
@@ -338,8 +338,9 @@ fn cold_multicore_warmup(
     penalty: u64,
 ) -> MultiCoreMachine {
     let mut m = multicore_for_mix(mix, p.seed, n_cores, penalty);
-    let _ = run_fixed_multicore(
+    let _ = run_alloc(
         FetchPolicy::Icount,
+        AllocKind::Static,
         &mut m,
         p.warmup_quanta,
         p.quantum_cycles,

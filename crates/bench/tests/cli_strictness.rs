@@ -20,6 +20,10 @@ const CASES: &[(&str, &[&str])] = &[
     ("trace", &["--trace"]),
     ("alloc", &["--cores", "zero"]),
     ("alloc", &["--alloc", "bogus-policy"]),
+    // A penalty past the longest latency a machine allows would wrap the
+    // fetch-hold deadline; it must be refused, not run as no penalty.
+    ("alloc", &["--mig-penalty", "65537"]),
+    ("alloc", &["--mig-penalty", "18446744073709551615"]),
     ("spans", &["--spans-out"]),
     ("unknown", &["--frobnicate"]),
     // Mix ids outside the suite must be refused before any simulation.

@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 use smt_isa::Tid;
 use smt_policies::{FetchPolicy, Tsu};
 use smt_sim::{EventRing, SmtMachine};
-use smt_stats::{QuantumRecord, RunSeries, SwitchEvent};
+use smt_stats::{RunSeries, SwitchEvent};
 
 /// Capacity of the per-scheduler decision-audit ring: one record per
 /// quantum, so this covers 4096 quanta (33 M cycles at the default 8 K)
@@ -302,18 +302,7 @@ impl AdaptiveScheduler {
             boundary.fetch_toggles.push((t, true));
         }
 
-        let record = QuantumRecord {
-            index: self.quantum_index,
-            policy: self.tsu.policy.name().to_string(),
-            cycles: stats.cycles,
-            committed: stats.committed,
-            ipc: stats.ipc,
-            l1_miss_rate: stats.l1_miss_rate,
-            lsq_full_rate: stats.lsq_full_rate,
-            mispredict_rate: stats.mispredict_rate,
-            branch_rate: stats.branch_rate,
-            idle_fetch_rate: stats.idle_fetch_rate,
-        };
+        let record = stats.record(self.quantum_index, self.tsu.policy);
 
         // The detector thread's main check: IPC_last < IPC_thold?
         // (With self-tuning, the threshold excludes the quantum it judges.)
@@ -390,19 +379,12 @@ impl AdaptiveScheduler {
             machine.set_fetch_enabled(t, enabled);
         }
     }
-
-    /// Run `quanta` scheduling quanta and return the recorded series.
-    pub fn run(mut self, machine: &mut SmtMachine, quanta: u64) -> RunSeries {
-        for _ in 0..quanta {
-            self.run_quantum(machine);
-        }
-        self.series
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_adaptive;
     use smt_isa::AppProfile;
     use smt_workloads::UopStream;
     use std::sync::Arc;
@@ -424,7 +406,7 @@ mod tests {
     #[test]
     fn records_one_record_per_quantum() {
         let mut m = machine(4, 1);
-        let series = AdaptiveScheduler::new(AdtsConfig::default(), 4).run(&mut m, 10);
+        let series = run_adaptive(AdtsConfig::default(), &mut m, 10);
         assert_eq!(series.quanta.len(), 10);
         assert!(series.quanta.iter().all(|q| q.cycles == 8192));
         assert_eq!(m.cycle(), 10 * 8192);
@@ -437,7 +419,7 @@ mod tests {
             ipc_threshold: 8.0,
             ..Default::default()
         };
-        let series = AdaptiveScheduler::new(cfg, 4).run(&mut m, 20);
+        let series = run_adaptive(cfg, &mut m, 20);
         assert!(!series.switches.is_empty(), "m=8 must trigger switches");
         // All but possibly the last switch must have judged outcomes.
         assert!(series.judged_switches() >= series.switches.len() - 1);
@@ -450,7 +432,7 @@ mod tests {
             ipc_threshold: 0.0,
             ..Default::default()
         };
-        let series = AdaptiveScheduler::new(cfg, 4).run(&mut m, 10);
+        let series = run_adaptive(cfg, &mut m, 10);
         assert!(series.switches.is_empty());
         assert!(series.quanta.iter().all(|q| q.policy == "ICOUNT"));
     }
@@ -463,7 +445,7 @@ mod tests {
             heuristic: HeuristicKind::Type1,
             ..Default::default()
         };
-        let series = AdaptiveScheduler::new(cfg, 2).run(&mut m, 12);
+        let series = run_adaptive(cfg, &mut m, 12);
         for s in &series.switches {
             assert!(
                 (s.from == "ICOUNT" && s.to == "BRCOUNT")
@@ -486,12 +468,12 @@ mod tests {
             dt: DtModel::Starved,
             ..Default::default()
         };
-        let s1 = AdaptiveScheduler::new(adaptive_starved, 4).run(&mut a, 10);
+        let s1 = run_adaptive(adaptive_starved, &mut a, 10);
         let fixed = AdtsConfig {
             ipc_threshold: 0.0,
             ..Default::default()
         };
-        let s2 = AdaptiveScheduler::new(fixed, 4).run(&mut b, 10);
+        let s2 = run_adaptive(fixed, &mut b, 10);
         assert!(s1.switches.is_empty());
         assert_eq!(s1.aggregate_ipc(), s2.aggregate_ipc());
     }
@@ -506,7 +488,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let series = AdaptiveScheduler::new(cfg, 2).run(&mut m, 15);
+        let series = run_adaptive(cfg, &mut m, 15);
         // A 2-thread machine leaves plenty of idle slots: switches happen.
         assert!(!series.switches.is_empty());
     }
@@ -575,10 +557,7 @@ mod tests {
                 self_tuning,
                 ..Default::default()
             };
-            AdaptiveScheduler::new(cfg, 4)
-                .run(&mut m, 20)
-                .switches
-                .len()
+            run_adaptive(cfg, &mut m, 20).switches.len()
         };
         let fixed = run(None);
         let tuned = run(Some(SelfTuning {
@@ -677,9 +656,7 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let run = || {
             let mut m = machine(4, 9);
-            AdaptiveScheduler::new(AdtsConfig::default(), 4)
-                .run(&mut m, 8)
-                .aggregate_ipc()
+            run_adaptive(AdtsConfig::default(), &mut m, 8).aggregate_ipc()
         };
         assert_eq!(run(), run());
     }

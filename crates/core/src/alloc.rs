@@ -24,12 +24,13 @@
 //!
 //! Every policy is deterministic: sorts are stable with ascending global
 //! thread id as the tiebreak, and core choices break ties toward the
-//! lowest core id. The batched sweep path drives the same code through
-//! [`AllocCell`] (a `LockstepCell<MultiCoreMachine>`), so scalar and
-//! lockstep runs are interchangeable (`proptest_batch_equiv` idiom).
+//! lowest core id. One fixed-fetch-policy quantum on a multi-core machine
+//! is one step of [`AllocCell`] (a `LockstepCell<MultiCoreMachine>`): the
+//! batched sweep steps many, [`run_alloc`] steps one, and a run with a
+//! fixed placement is [`AllocKind::Static`], so scalar and lockstep runs
+//! are interchangeable (`proptest_batch_equiv` idiom).
 
 use crate::adaptive::{AdaptiveScheduler, AdtsConfig, QuantumPlan};
-use crate::indicators::{MachineSnapshot, QuantumStats};
 use serde::{Serialize, Value};
 use smt_policies::{FetchPolicy, Tsu};
 use smt_sim::{EventRing, LockstepCell, MultiCoreMachine, SimConfig, SmtMachine};
@@ -361,9 +362,12 @@ pub fn alloc_decisions_jsonl<'a>(
 /// configs. Every core gets one context slot per mix thread (full
 /// migration freedom — any allocation up to "all threads on one core" is
 /// representable); global thread `g` starts on core `g % n_cores`,
-/// packed into ascending slots. With `n_cores == 1` this is exactly
+/// packed into ascending slots. With `n_cores == 1` this is
 /// [`machine_for_mix`](crate::runner::machine_for_mix) wrapped via
-/// `MultiCoreMachine::single` — the N=1 bit-identity anchor.
+/// `MultiCoreMachine::single` (the penalty is never paid: nothing can
+/// migrate), so [`run_alloc`] under [`AllocKind::Static`] steps it exactly
+/// as [`run_fixed`](crate::runner::run_fixed) steps the bare core — the
+/// N=1 bit-identity anchor `tests/golden_multicore.rs` pins.
 pub fn multicore_for_mix(
     mix: &Mix,
     seed: u64,
@@ -408,70 +412,12 @@ pub fn multicore_for_mix(
 // runners
 // ---------------------------------------------------------------------------
 
-/// Multi-core counterpart of [`run_fixed`](crate::runner::run_fixed):
-/// one fixed fetch policy on every core, fixed placement, `quanta`
-/// quanta of `quantum_cycles`. Per-quantum records aggregate all cores
-/// (committed sums, rates average); for a 1-core machine they equal the
-/// scalar runner's bit-for-bit.
-pub fn run_fixed_multicore(
-    policy: FetchPolicy,
-    machine: &mut MultiCoreMachine,
-    quanta: u64,
-    quantum_cycles: u64,
-) -> RunSeries {
-    let fetch_width = machine.core(0).config().fetch_width;
-    let mut tsus: Vec<Tsu> = (0..machine.n_cores())
-        .map(|i| Tsu::new(policy, machine.core(i).n_threads()))
-        .collect();
-    let mut series = RunSeries::default();
-    for index in 0..quanta {
-        let before: Vec<MachineSnapshot> = (0..machine.n_cores())
-            .map(|i| MachineSnapshot::take(machine.core(i)))
-            .collect();
-        machine.run(quantum_cycles, &mut tsus);
-        let stats: Vec<QuantumStats> = before
-            .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                QuantumStats::between(b, &MachineSnapshot::take(machine.core(i)), fetch_width)
-            })
-            .collect();
-        series
-            .quanta
-            .push(aggregate_record(index, policy.name(), &stats));
-    }
-    series
-}
-
-/// Sum committed, keep the (lockstep-equal) cycle count, average rates.
-fn aggregate_record(index: u64, policy: &str, stats: &[QuantumStats]) -> QuantumRecord {
-    let n = stats.len() as f64;
-    let cycles = stats[0].cycles;
-    let committed: u64 = stats.iter().map(|s| s.committed).sum();
-    QuantumRecord {
-        index,
-        policy: policy.to_string(),
-        cycles,
-        committed,
-        ipc: if cycles == 0 {
-            0.0
-        } else {
-            committed as f64 / cycles as f64
-        },
-        l1_miss_rate: stats.iter().map(|s| s.l1_miss_rate).sum::<f64>() / n,
-        lsq_full_rate: stats.iter().map(|s| s.lsq_full_rate).sum::<f64>() / n,
-        mispredict_rate: stats.iter().map(|s| s.mispredict_rate).sum::<f64>() / n,
-        branch_rate: stats.iter().map(|s| s.branch_rate).sum::<f64>() / n,
-        idle_fetch_rate: stats.iter().map(|s| s.idle_fetch_rate).sum::<f64>() / n,
-    }
-}
-
 /// Execute one quantum of per-core [`QuantumPlan`]s on a multi-core
 /// machine, in lockstep. Reproduces `AdaptiveScheduler::execute_plan`
 /// per core exactly: the quantum is cut at each core's pending-switch
 /// delay; between segments the switching cores' TSUs change policy and
 /// the switch is noted on that core.
-pub fn execute_plans_multicore(machine: &mut MultiCoreMachine, plans: &[QuantumPlan]) {
+fn execute_plans_multicore(machine: &mut MultiCoreMachine, plans: &[QuantumPlan]) {
     assert_eq!(plans.len(), machine.n_cores(), "one plan per core");
     let q = plans[0].quantum_cycles;
     assert!(
@@ -506,7 +452,7 @@ pub fn execute_plans_multicore(machine: &mut MultiCoreMachine, plans: &[QuantumP
 }
 
 /// Run one [`AdaptiveScheduler`] per core for `quanta` quanta, with the
-/// cores stepping in lockstep through [`execute_plans_multicore`].
+/// cores stepping in lockstep through `execute_plans_multicore`.
 /// Returns the schedulers (recordings inside). For a 1-core machine the
 /// single scheduler's series and audit are bit-identical to a scalar
 /// `run_quantum` loop on the wrapped `SmtMachine`.

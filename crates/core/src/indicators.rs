@@ -7,7 +7,9 @@
 //! heuristics' conditions are defined over (§4.3 of the paper).
 
 use smt_isa::Tid;
+use smt_policies::FetchPolicy;
 use smt_sim::SmtMachine;
+use smt_stats::QuantumRecord;
 
 /// Cumulative counter values at one instant.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -120,6 +122,23 @@ impl QuantumStats {
                 .map(|(e, s)| e - s)
                 .collect(),
             per_thread_icount: end.per_thread_icount.clone(),
+        }
+    }
+
+    /// The quantum's entry in a [`smt_stats::RunSeries`]: its index, the
+    /// policy in force at its end, and the aggregate rates.
+    pub fn record(&self, index: u64, policy: FetchPolicy) -> QuantumRecord {
+        QuantumRecord {
+            index,
+            policy: policy.name().to_string(),
+            cycles: self.cycles,
+            committed: self.committed,
+            ipc: self.ipc,
+            l1_miss_rate: self.l1_miss_rate,
+            lsq_full_rate: self.lsq_full_rate,
+            mispredict_rate: self.mispredict_rate,
+            branch_rate: self.branch_rate,
+            idle_fetch_rate: self.idle_fetch_rate,
         }
     }
 

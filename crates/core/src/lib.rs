@@ -27,7 +27,9 @@
 //! - [`jobsched`] — the job-scheduler integration the paper describes in
 //!   §3/§7 (context-switching clog-marked threads) but does not evaluate;
 //! - [`oracle`] — the per-quantum exhaustive upper bound;
-//! - [`runner`] — fixed/adaptive drivers used by the experiments.
+//! - [`lockstep`] — [`PointCell`], one fixed or adaptive quantum as a
+//!   lockstep cell: the only code that runs and records one;
+//! - [`runner`] — fixed/adaptive drivers, each stepping one `PointCell`.
 
 pub mod adaptive;
 pub mod alloc;
@@ -45,9 +47,8 @@ pub mod threshold;
 
 pub use adaptive::{AdaptiveScheduler, AdtsConfig, BoundaryActions, QuantumPlan};
 pub use alloc::{
-    alloc_decisions_jsonl, execute_plans_multicore, multicore_for_mix, run_adaptive_multicore,
-    run_alloc, run_fixed_multicore, AllocCell, AllocDecisionRecord, AllocKind, AllocReason,
-    AllocThreadRow, AllocView, AllocationPolicy,
+    alloc_decisions_jsonl, multicore_for_mix, run_adaptive_multicore, run_alloc, AllocCell,
+    AllocDecisionRecord, AllocKind, AllocReason, AllocThreadRow, AllocView, AllocationPolicy,
 };
 pub use audit::{
     decisions_jsonl, evaluate_conditions, CondEval, DecisionReason, DecisionRecord, DecisionTrace,

@@ -1,8 +1,7 @@
 //! Lockstep sweep cells: the `smt_sim::batch` drivers for this crate's
 //! schedulers.
 //!
-//! A threshold×type sweep point is either a fixed-policy run
-//! ([`crate::runner::run_fixed`]) or an adaptive run
+//! A sweep point is either a fixed-policy run or an adaptive run
 //! ([`AdaptiveScheduler`]). [`PointCell`] wraps both behind one
 //! [`LockstepCell`] implementation with a *shared* plan type
 //! ([`QuantumPlan`]), so a fixed-ICOUNT cell and an adaptive cell that
@@ -10,20 +9,19 @@
 //! simulation work.
 //!
 //! Equivalence contract (pinned by `tests/golden_batch.rs` and the
-//! differential suites): driving a `PointCell` through
-//! [`smt_sim::batch::run_scalar_quantum`] — and therefore through a
-//! [`smt_sim::MachineBatch`] — produces a [`RunSeries`] bit-identical to
-//! the scalar driver it replaces, and leaves the machine bit-identical
-//! too.
+//! differential suites): the scalar drivers of [`crate::runner`] step one
+//! `PointCell` through [`smt_sim::batch::run_scalar_quantum`], and a
+//! [`smt_sim::MachineBatch`] of cells produces bit-identical
+//! [`RunSeries`] and leaves the machine bit-identical too.
 
 use crate::adaptive::{AdaptiveScheduler, AdtsConfig, BoundaryActions, QuantumPlan};
 use crate::indicators::{MachineSnapshot, QuantumStats};
 use smt_policies::FetchPolicy;
 use smt_sim::{LockstepCell, SmtMachine};
-use smt_stats::{QuantumRecord, RunSeries};
+use smt_stats::RunSeries;
 
-/// A fixed-policy sweep cell: replays exactly what
-/// [`crate::runner::run_fixed`] records, one quantum per lockstep step.
+/// A fixed-policy cell: one quantum under a constant fetch policy per
+/// lockstep step, recorded like every other quantum.
 #[derive(Clone, Debug)]
 pub struct FixedCell {
     policy: FetchPolicy,
@@ -58,7 +56,7 @@ pub enum PointCell {
 }
 
 impl PointCell {
-    /// Fixed-policy cell recording `run_fixed`-shaped quanta.
+    /// Fixed-policy cell: `policy` for every quantum, never switching.
     pub fn fixed(policy: FetchPolicy, quantum_cycles: u64) -> Self {
         PointCell::Fixed(FixedCell::new(policy, quantum_cycles))
     }
@@ -106,18 +104,7 @@ impl LockstepCell for PointCell {
                 let before = c.before.take().expect("observe without plan");
                 let after = MachineSnapshot::take(machine);
                 let stats = QuantumStats::between(&before, &after, fetch_width);
-                c.series.quanta.push(QuantumRecord {
-                    index: c.index,
-                    policy: c.policy.name().to_string(),
-                    cycles: stats.cycles,
-                    committed: stats.committed,
-                    ipc: stats.ipc,
-                    l1_miss_rate: stats.l1_miss_rate,
-                    lsq_full_rate: stats.lsq_full_rate,
-                    mispredict_rate: stats.mispredict_rate,
-                    branch_rate: stats.branch_rate,
-                    idle_fetch_rate: stats.idle_fetch_rate,
-                });
+                c.series.quanta.push(stats.record(c.index, c.policy));
                 c.index += 1;
                 BoundaryActions::default()
             }
@@ -134,7 +121,8 @@ impl LockstepCell for PointCell {
 mod tests {
     use super::*;
     use crate::heuristics::HeuristicKind;
-    use crate::runner::{machine_for_mix, run_fixed};
+    use crate::runner::machine_for_mix;
+    use smt_policies::Tsu;
     use smt_sim::{run_scalar_quantum, MachineBatch};
     use smt_workloads::mix;
 
@@ -153,11 +141,23 @@ mod tests {
         }
     }
 
+    /// The reference does not step a cell: one `Tsu` kept across quanta
+    /// and a plain `SmtMachine::run` per quantum.
     #[test]
-    fn fixed_cell_reproduces_run_fixed() {
+    fn fixed_cell_matches_a_plain_tsu_loop() {
         let m = test_mix();
         let mut scalar = machine_for_mix(&m, 5);
-        let expected = run_fixed(FetchPolicy::Icount, &mut scalar, 6, QC);
+        let width = scalar.config().fetch_width;
+        let mut tsu = Tsu::new(FetchPolicy::Icount, scalar.n_threads());
+        let mut expected = RunSeries::default();
+        for index in 0..6 {
+            let before = MachineSnapshot::take(&scalar);
+            scalar.run(QC, &mut tsu);
+            let stats = QuantumStats::between(&before, &MachineSnapshot::take(&scalar), width);
+            expected
+                .quanta
+                .push(stats.record(index, FetchPolicy::Icount));
+        }
 
         let mut cell = PointCell::fixed(FetchPolicy::Icount, QC);
         let mut machine = machine_for_mix(&m, 5);

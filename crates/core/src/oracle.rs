@@ -14,7 +14,7 @@ use crate::indicators::{MachineSnapshot, QuantumStats};
 use serde::{Deserialize, Serialize};
 use smt_policies::{FetchPolicy, Tsu};
 use smt_sim::SmtMachine;
-use smt_stats::{QuantumRecord, RunSeries, SwitchEvent};
+use smt_stats::{RunSeries, SwitchEvent};
 
 /// Oracle configuration.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -82,18 +82,7 @@ pub fn run_oracle(cfg: &OracleConfig, machine: &mut SmtMachine, quanta: u64) -> 
             }
         }
         incumbent = Some(policy);
-        series.quanta.push(QuantumRecord {
-            index,
-            policy: policy.name().to_string(),
-            cycles: stats.cycles,
-            committed: stats.committed,
-            ipc: stats.ipc,
-            l1_miss_rate: stats.l1_miss_rate,
-            lsq_full_rate: stats.lsq_full_rate,
-            mispredict_rate: stats.mispredict_rate,
-            branch_rate: stats.branch_rate,
-            idle_fetch_rate: stats.idle_fetch_rate,
-        });
+        series.quanta.push(stats.record(index, policy));
     }
     series
 }

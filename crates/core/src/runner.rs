@@ -1,15 +1,16 @@
 //! Convenience experiment drivers.
 //!
-//! Thin wrappers that run a machine for N quanta under fixed or adaptive
-//! scheduling and return the per-quantum [`RunSeries`] the experiment
-//! harness aggregates (the oracle's driver is [`crate::run_oracle`]). They
-//! also centralize machine construction from a [`Mix`].
+//! Each runs a machine for N quanta and returns the per-quantum
+//! [`RunSeries`] the experiment harness aggregates, by stepping one
+//! [`PointCell`] through [`run_scalar_quantum`] as a batched sweep steps
+//! many (the oracle's driver is [`crate::run_oracle`]). They also
+//! centralize machine construction from a [`Mix`].
 
-use crate::adaptive::{AdaptiveScheduler, AdtsConfig};
-use crate::indicators::{MachineSnapshot, QuantumStats};
-use smt_policies::{FetchPolicy, Tsu};
-use smt_sim::{CounterSnapshot, SimConfig, SmtMachine};
-use smt_stats::{QuantumRecord, RunSeries};
+use crate::adaptive::AdtsConfig;
+use crate::lockstep::PointCell;
+use smt_policies::FetchPolicy;
+use smt_sim::{run_scalar_quantum, CounterSnapshot, SimConfig, SmtMachine};
+use smt_stats::RunSeries;
 use smt_workloads::Mix;
 
 /// Build a machine for a mix (threads = mix size) on a default-derived
@@ -50,42 +51,29 @@ pub fn run_fixed_sampled(
     quantum_cycles: u64,
     mut observer: impl FnMut(u64, &SmtMachine, &CounterSnapshot),
 ) -> RunSeries {
-    let fetch_width = machine.config().fetch_width;
-    let mut tsu = Tsu::new(policy, machine.n_threads());
-    let mut series = RunSeries::default();
+    let mut cell = PointCell::fixed(policy, quantum_cycles);
     // Snapshot buffers reused across quanta — the observer loop allocates
     // only on the first iteration.
     let mut counters_before = CounterSnapshot::default();
     let mut counters_after = CounterSnapshot::default();
     let mut counters_delta = CounterSnapshot::default();
     for index in 0..quanta {
-        let before = MachineSnapshot::take(machine);
         machine.counter_snapshot_into(&mut counters_before);
-        machine.run(quantum_cycles, &mut tsu);
-        let after = MachineSnapshot::take(machine);
+        run_scalar_quantum(&mut cell, machine);
         machine.counter_snapshot_into(&mut counters_after);
         counters_before.delta_into(&counters_after, &mut counters_delta);
         observer(index, machine, &counters_delta);
-        let stats = QuantumStats::between(&before, &after, fetch_width);
-        series.quanta.push(QuantumRecord {
-            index,
-            policy: policy.name().to_string(),
-            cycles: stats.cycles,
-            committed: stats.committed,
-            ipc: stats.ipc,
-            l1_miss_rate: stats.l1_miss_rate,
-            lsq_full_rate: stats.lsq_full_rate,
-            mispredict_rate: stats.mispredict_rate,
-            branch_rate: stats.branch_rate,
-            idle_fetch_rate: stats.idle_fetch_rate,
-        });
     }
-    series
+    cell.into_series()
 }
 
 /// Run the adaptive scheduler for `quanta` quanta.
 pub fn run_adaptive(cfg: AdtsConfig, machine: &mut SmtMachine, quanta: u64) -> RunSeries {
-    AdaptiveScheduler::new(cfg, machine.n_threads()).run(machine, quanta)
+    let mut cell = PointCell::adaptive(cfg, machine.n_threads());
+    for _ in 0..quanta {
+        run_scalar_quantum(&mut cell, machine);
+    }
+    cell.into_series()
 }
 
 #[cfg(test)]

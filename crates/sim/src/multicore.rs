@@ -27,6 +27,7 @@
 
 use crate::cache::Cache;
 use crate::chooser::FetchChooser;
+use crate::config::MAX_LATENCY;
 use crate::counters::{CounterSnapshot, ThreadCounters};
 use crate::machine::{MigratedThread, SmtMachine};
 use smt_isa::codec::{fnv1a_64, ByteReader, ByteWriter, CodecError};
@@ -44,7 +45,8 @@ pub struct MultiCoreMachine {
     placement: Vec<(usize, usize)>,
     /// Per global thread: completed cross-core migrations.
     migrations: Vec<u64>,
-    /// Cold-frontend fetch hold charged on every migrate-in, in cycles.
+    /// Cold-frontend fetch hold charged on every migrate-in, in cycles
+    /// (at most [`MAX_LATENCY`], like every other latency).
     migration_penalty: u64,
 }
 
@@ -57,7 +59,8 @@ impl MultiCoreMachine {
     ///
     /// # Panics
     /// Panics on an empty core list, a placement entry out of range, a
-    /// doubly-assigned slot, or cores with differing L2 geometry.
+    /// doubly-assigned slot, cores with differing L2 geometry, or a
+    /// migration penalty above [`MAX_LATENCY`].
     pub fn from_cores(
         mut cores: Vec<SmtMachine>,
         placement: Vec<(usize, usize)>,
@@ -66,6 +69,10 @@ impl MultiCoreMachine {
         assert!(
             !cores.is_empty(),
             "MultiCoreMachine needs at least one core"
+        );
+        assert!(
+            migration_penalty <= MAX_LATENCY,
+            "migration penalty {migration_penalty} exceeds the {MAX_LATENCY}-cycle maximum"
         );
         let geom = cores[0].config().l2;
         for core in &cores[1..] {
@@ -481,6 +488,11 @@ impl MultiCoreSnapshot {
             placement.push((tr.u32()? as usize, tr.u32()? as usize));
         }
         let migration_penalty = tr.u64()?;
+        if migration_penalty > MAX_LATENCY {
+            return Err(CodecError::Invalid(format!(
+                "migration penalty {migration_penalty} exceeds the {MAX_LATENCY}-cycle maximum"
+            )));
+        }
         let mut migrations = Vec::with_capacity(n_threads.min(tr.remaining()));
         for _ in 0..n_threads {
             migrations.push(tr.u64()?);

@@ -9,11 +9,13 @@
 //! (truncation at every byte, trailing garbage, a lying core count), the
 //! checksums (a flip at every byte, targeted per-core payload flips), the
 //! header fields (foreign magic, future version), and the semantic
-//! topology validation (out-of-range cores/slots, doubly-assigned slots)
-//! — the latter by mutating the topology payload and *restamping* its
-//! checksum, so validation and not the checksum is what must catch it.
+//! topology validation (out-of-range cores/slots, doubly-assigned slots,
+//! a migration penalty past the longest latency) — the latter by mutating
+//! the topology payload and *restamping* its checksum, so validation and
+//! not the checksum is what must catch it.
 
 use smt_isa::codec::{fnv1a_64, CodecError};
+use smt_sim::config::MAX_LATENCY;
 use smt_sim::{
     MultiCoreMachine, MultiCoreSnapshot, RoundRobin, SimConfig, SmtMachine, MC_FORMAT_VERSION,
 };
@@ -261,6 +263,27 @@ fn doubly_assigned_slot_is_semantically_rejected() {
         Err(CodecError::Invalid(msg)) => assert!(msg.contains("doubly assigned"), "{msg}"),
         other => panic!("expected Invalid(double assignment), got {other:?}"),
     }
+}
+
+#[test]
+fn migration_penalty_past_the_longest_latency_is_semantically_rejected() {
+    // Topology: n_threads u64 | 3 × (core u32, slot u32) | penalty u64.
+    let bad = with_restamped_topology(sample_bytes(), |topo| {
+        assert_eq!(topo[32..40], 128u64.to_le_bytes(), "the sample's penalty");
+        topo[32..40].copy_from_slice(&(MAX_LATENCY + 1).to_le_bytes());
+    });
+    match MultiCoreSnapshot::from_bytes(&bad) {
+        Err(CodecError::Invalid(msg)) => assert!(msg.contains("migration penalty"), "{msg}"),
+        other => panic!("expected Invalid(migration penalty), got {other:?}"),
+    }
+}
+
+/// The constructor holds the same bound the decoder checks.
+#[test]
+#[should_panic(expected = "migration penalty")]
+fn a_penalty_past_the_longest_latency_is_refused_at_construction() {
+    let core = SmtMachine::new(SimConfig::with_threads(2), vec![synth(1, 0), synth(2, 1)]);
+    MultiCoreMachine::from_cores(vec![core], vec![(0, 0), (0, 1)], MAX_LATENCY + 1);
 }
 
 #[test]

@@ -15,6 +15,7 @@ use std::path::Path;
 /// let mut t = Table::new("demo", &["policy", "ipc"]);
 /// t.row(vec!["ICOUNT".into(), "2.554".into()]);
 /// assert!(t.render().contains("ICOUNT"));
+/// assert_eq!(t.cell("ICOUNT", "ipc"), Some("2.554"));
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Table {
@@ -45,6 +46,14 @@ impl Table {
 
     pub fn n_rows(&self) -> usize {
         self.rows.len()
+    }
+
+    /// The cell under header `col` in the first row whose leading cell is
+    /// `row`.
+    pub fn cell(&self, row: &str, col: &str) -> Option<&str> {
+        let c = self.headers.iter().position(|h| h == col)?;
+        let r = self.rows.iter().find(|r| r[0] == row)?;
+        Some(&r[c])
     }
 
     /// Render to a string (title, rule, headers, rows).

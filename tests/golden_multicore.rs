@@ -49,8 +49,13 @@ fn record_single(mix_id: usize, threads: usize) -> GoldenTrace {
             .iter()
             .map(|&policy| {
                 let mut machine = MultiCoreMachine::single(adts::machine_for_mix(&mix, SEED));
-                let series =
-                    adts::run_fixed_multicore(policy, &mut machine, QUANTA, QUANTUM_CYCLES);
+                let series = adts::run_alloc(
+                    policy,
+                    AllocKind::Static,
+                    &mut machine,
+                    QUANTA,
+                    QUANTUM_CYCLES,
+                );
                 machine.check_invariants();
                 PolicyTrace {
                     policy: policy.name().to_string(),
@@ -201,14 +206,16 @@ fn n1_replays_trace_points() {
                 .map(|&policy| {
                     let core = trace_machine(&file).expect("replay machine from committed trace");
                     let mut machine = MultiCoreMachine::single(core);
-                    adts::run_fixed_multicore(
+                    adts::run_alloc(
                         FetchPolicy::Icount,
+                        AllocKind::Static,
                         &mut machine,
                         TRACE_WARMUP_QUANTA,
                         TRACE_QUANTUM_CYCLES,
                     );
-                    let series = adts::run_fixed_multicore(
+                    let series = adts::run_alloc(
                         policy,
+                        AllocKind::Static,
                         &mut machine,
                         TRACE_QUANTA,
                         TRACE_QUANTUM_CYCLES,

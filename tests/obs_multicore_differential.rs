@@ -91,7 +91,7 @@ fn alloc_run(mix_id: usize, alloc: AllocKind, observed: bool) -> (String, Vec<u8
     (json, snapshot, events)
 }
 
-/// Fixed-policy point (static placement, no allocation decisions), same
+/// Fixed-policy point under static placement (nothing migrates), same
 /// contract.
 fn fixed_run(mix_id: usize, observed: bool) -> (String, Vec<u8>, u64) {
     let mut machine = fresh_machine(mix_id);
@@ -100,8 +100,13 @@ fn fixed_run(mix_id: usize, observed: bool) -> (String, Vec<u8>, u64) {
         machine.enable_trace(EVENTS_CAP);
         machine.enable_attr();
     }
-    let series =
-        adts::run_fixed_multicore(FetchPolicy::Icount, &mut machine, QUANTA, QUANTUM_CYCLES);
+    let series = adts::run_alloc(
+        FetchPolicy::Icount,
+        AllocKind::Static,
+        &mut machine,
+        QUANTA,
+        QUANTUM_CYCLES,
+    );
     if observed {
         let mut reg = MetricsRegistry::new();
         let mut sampler = MultiCoreSampler::new(&mut reg, &machine);
