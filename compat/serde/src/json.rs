@@ -22,7 +22,8 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     T::from_value(&parse(s)?)
 }
 
-fn write_value(out: &mut String, v: &Value) {
+/// Append `v` to `out` as canonical JSON.
+pub fn write_value(out: &mut String, v: &Value) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -67,7 +68,8 @@ fn write_value(out: &mut String, v: &Value) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Append `s` to `out` as a JSON string literal, escaped.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -39,8 +39,8 @@ use crate::cli::RunOptions;
 use crate::sweep;
 use crate::warm::{warmed_machine, warmed_multicore};
 use adts_core::{
-    alloc_decisions_jsonl, decisions_jsonl, register_series_metrics, AdtsConfig, AllocCell,
-    AllocDecisionRecord, AllocKind, DecisionRecord, PointCell,
+    register_series_metrics, AdtsConfig, AllocCell, AllocDecisionRecord, AllocKind, DecisionRecord,
+    PointCell,
 };
 use smt_policies::FetchPolicy;
 use smt_sim::obs::{
@@ -147,7 +147,7 @@ fn instrument_point(
         let buf = machine.disable_trace().expect("trace enabled above");
         events = Some((buf.recorded, buf.len() as u64));
         let mut out = Artifacts::new(&opts.obs_out, &slug, &mut files)?;
-        out.write("events.jsonl", export::events_jsonl(buf.events()))?;
+        out.write("events.jsonl", export::jsonl(buf.events()))?;
         out.write("trace.json", export::chrome_trace(buf.events()))?;
         out.write("prom", export::prometheus(&reg))?;
     }
@@ -168,7 +168,7 @@ fn instrument_point(
         register_attr_metrics(&mut attr_reg, &last);
         out.write("attr.prom", export::prometheus(&attr_reg))?;
         if let Some(audit) = &audit {
-            out.write("decisions.jsonl", decisions_jsonl(audit.iter()))?;
+            out.write("decisions.jsonl", export::jsonl(audit.iter()))?;
             out.write("timeline.txt", render_timeline(audit.iter(), &snaps))?;
         }
     }
@@ -238,7 +238,7 @@ fn instrument_alloc(mix: &Mix, alloc: AllocKind, opts: &RunOptions) -> io::Resul
             retained += buf.len() as u64;
             out.write(
                 &format!("core{c}.events.jsonl"),
-                export::events_jsonl(buf.events()),
+                export::jsonl(buf.events()),
             )?;
             per_core.push(buf.events().copied().collect::<Vec<_>>());
         }
@@ -270,7 +270,7 @@ fn instrument_alloc(mix: &Mix, alloc: AllocKind, opts: &RunOptions) -> io::Resul
         let merged = merge_attr_snapshots(&snaps);
         out.write("cpi.json", serde::json::to_string(&merged))?;
         let audit = audit.expect("audit enabled above");
-        out.write("decisions.jsonl", alloc_decisions_jsonl(audit.iter()))?;
+        out.write("decisions.jsonl", export::jsonl(audit.iter()))?;
         let timeline = render_migration_timeline(audit.iter());
         out.write("migration_timeline.txt", timeline)?;
     }

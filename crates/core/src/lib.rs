@@ -47,12 +47,11 @@ pub mod threshold;
 
 pub use adaptive::{AdaptiveScheduler, AdtsConfig, BoundaryActions, QuantumPlan};
 pub use alloc::{
-    alloc_decisions_jsonl, multicore_for_mix, run_adaptive_multicore, run_alloc, AllocCell,
-    AllocDecisionRecord, AllocKind, AllocReason, AllocThreadRow, AllocView, AllocationPolicy,
+    multicore_for_mix, run_adaptive_multicore, run_alloc, AllocCell, AllocDecisionRecord,
+    AllocKind, AllocReason, AllocThreadRow, AllocView, AllocationPolicy,
 };
 pub use audit::{
-    decisions_jsonl, evaluate_conditions, CondEval, DecisionReason, DecisionRecord, DecisionTrace,
-    HistoryEval,
+    evaluate_conditions, CondEval, DecisionReason, DecisionRecord, DecisionTrace, HistoryEval,
 };
 pub use detector::DtModel;
 pub use heuristics::{CondThresholds, Heuristic, HeuristicKind};

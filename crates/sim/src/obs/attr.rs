@@ -154,7 +154,8 @@ impl CommitCause {
 /// Per-thread slot counts by cause, one array per stage.
 ///
 /// No serde derives: the vendored `serde` cannot deserialize fixed-size
-/// arrays, so JSON export goes through [`SlotStack::to_value`] instead.
+/// arrays, so JSON export goes through a hand-written [`Serialize`] that
+/// names every cause (`{"fetch": {"used": ..}, ..}`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SlotStack {
     pub fetch: [u64; FetchCause::COUNT],
@@ -214,10 +215,10 @@ impl SlotStack {
         }
         out
     }
+}
 
-    /// Self-describing value (`{"fetch": {"used": ..}, ..}`) for JSON
-    /// export.
-    pub fn to_value(&self) -> Value {
+impl Serialize for SlotStack {
+    fn to_value(&self) -> Value {
         let fetch = FetchCause::ALL
             .iter()
             .map(|&c| (c.name().to_string(), Value::UInt(self.fetch_count(c))))
@@ -266,21 +267,14 @@ impl AttrSnapshot {
                 .collect(),
         }
     }
-
-    pub fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("cycles".to_string(), Value::UInt(self.cycles)),
-            (
-                "threads".to_string(),
-                Value::Seq(self.threads.iter().map(|s| s.to_value()).collect()),
-            ),
-        ])
-    }
 }
 
 impl Serialize for AttrSnapshot {
     fn to_value(&self) -> Value {
-        AttrSnapshot::to_value(self)
+        Value::Map(vec![
+            ("cycles".to_string(), self.cycles.to_value()),
+            ("threads".to_string(), self.threads.to_value()),
+        ])
     }
 }
 

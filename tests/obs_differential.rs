@@ -148,7 +148,7 @@ fn exporters_parse_for_a_traced_run() {
     assert!(!buf.is_empty());
 
     // JSONL: every line is one event that round-trips.
-    let jsonl = export::events_jsonl(buf.events());
+    let jsonl = export::jsonl(buf.events());
     let mut lines = 0;
     for line in jsonl.lines() {
         let _: TraceEvent = serde::json::from_str(line).expect("JSONL line must parse");
