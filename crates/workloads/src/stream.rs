@@ -24,6 +24,10 @@
 //! Each thread's stream is placed at a distinct virtual base address so
 //! threads never share data, but they *do* compete for cache capacity —
 //! exactly the interference the paper's scheduling policies manage.
+//!
+//! The generator only generates. A fixed op sequence, such as a machine
+//! microtest's script, replays through the trace backend
+//! ([`UopStream::scripted`]), the one cyclic replayer.
 
 use crate::seed::SplitMix64;
 use rand::rngs::SmallRng;
@@ -166,11 +170,6 @@ pub struct SynthStream {
 
     // bookkeeping
     generated: u64,
-    /// When set, the stream replays this script cyclically instead of
-    /// generating statistically — the hook that lets the machine model be
-    /// microtested with exact op sequences.
-    script: Option<Vec<MicroOp>>,
-    script_pos: usize,
     /// `(ilp_scale, ln(1 - 1/mean))` of the last dependence-distance draw:
     /// the log depends only on the phase's ILP scale, so it is computed
     /// once per phase instead of once per source operand. Transient (not
@@ -238,22 +237,9 @@ impl SynthStream {
             phase_idx: 0,
             phase_left,
             generated: 0,
-            script: None,
-            script_pos: 0,
             dep_ln: None,
             profile,
         }
-    }
-
-    /// A stream that replays `ops` cyclically (for machine microtests).
-    /// The ops' `pc` fields should already carry the thread's address base;
-    /// `profile` only provides metadata (working-set size for the
-    /// wrong-path generator).
-    pub fn scripted(profile: Arc<AppProfile>, addr_base: u64, ops: Vec<MicroOp>) -> Self {
-        assert!(!ops.is_empty(), "empty script");
-        let mut s = SynthStream::new(profile, 0, addr_base);
-        s.script = Some(ops);
-        s
     }
 
     /// The profile driving this stream.
@@ -270,9 +256,6 @@ impl SynthStream {
     /// thread's address base applied). The fetch stage uses this for the
     /// I-cache access before consuming the op.
     pub fn current_pc(&self) -> u64 {
-        if let Some(script) = &self.script {
-            return script[self.script_pos].pc;
-        }
         self.addr_base | self.pc
     }
 
@@ -413,7 +396,10 @@ impl SynthStream {
 
     /// Serialize the complete generator state for checkpointing. Decoding
     /// with [`decode_state`](Self::decode_state) yields a stream whose
-    /// future output is bit-identical to this one's.
+    /// future output is bit-identical to this one's. The state ends with
+    /// two slots that are always zero (`u8` 0, `u64` 0): they keep the
+    /// byte layout that machine snapshot fingerprints and the snapshot
+    /// `FORMAT_VERSION` pin.
     pub fn encode_state(&self, w: &mut ByteWriter) {
         codec::encode_json(w, self.profile.as_ref());
         self.rng.state().encode(w);
@@ -436,11 +422,12 @@ impl SynthStream {
         w.usize(self.phase_idx);
         w.u64(self.phase_left);
         w.u64(self.generated);
-        self.script.encode(w);
-        w.usize(self.script_pos);
+        w.u8(0);
+        w.u64(0);
     }
 
     /// Rebuild a stream from [`encode_state`](Self::encode_state) bytes.
+    /// A nonzero retired slot is [`CodecError::Invalid`].
     pub fn decode_state(r: &mut ByteReader) -> Result<Self, CodecError> {
         let profile: AppProfile = codec::decode_json(r)?;
         let rng = SmallRng::from_state(<[u64; 4]>::decode(r)?);
@@ -451,7 +438,7 @@ impl SynthStream {
         if sites.is_empty() {
             return Err(CodecError::Invalid("stream has no branch sites".into()));
         }
-        Ok(SynthStream {
+        let stream = SynthStream {
             profile: Arc::new(profile),
             rng,
             addr_base,
@@ -473,20 +460,18 @@ impl SynthStream {
             phase_idx: r.usize()?,
             phase_left: r.u64()?,
             generated: r.u64()?,
-            script: Option::decode(r)?,
-            script_pos: r.usize()?,
             dep_ln: None,
-        })
+        };
+        if (r.u8()?, r.u64()?) != (0, 0) {
+            return Err(CodecError::Invalid(
+                "synthetic stream carries a retired script slot".into(),
+            ));
+        }
+        Ok(stream)
     }
 
     /// Generate the next micro-op.
     pub fn next_uop(&mut self) -> MicroOp {
-        if let Some(script) = &self.script {
-            let op = script[self.script_pos];
-            self.script_pos = (self.script_pos + 1) % script.len();
-            self.generated += 1;
-            return op;
-        }
         let (mem_p, br_p, ilp_s, predictability) = self.phase();
         // Copy the profile fields out, so reading them holds no borrow of
         // `self` across the mutating helper calls below.
@@ -699,10 +684,17 @@ impl UopStream {
         UopStream::Synth(SynthStream::new(profile, seed, addr_base))
     }
 
-    /// A synthetic stream that replays `ops` cyclically (see
-    /// [`SynthStream::scripted`]).
+    /// A stream that replays `ops` cyclically, for machine microtests: a
+    /// [`TraceStream`](crate::trace::TraceStream) over `ops`. The ops'
+    /// `pc` fields should already carry the thread's address base;
+    /// `profile` only provides metadata (working-set size for the
+    /// wrong-path generator). Panics on an empty op list.
     pub fn scripted(profile: Arc<AppProfile>, addr_base: u64, ops: Vec<MicroOp>) -> Self {
-        UopStream::Synth(SynthStream::scripted(profile, addr_base, ops))
+        UopStream::Trace(crate::trace::TraceStream::replay(
+            profile,
+            addr_base,
+            Arc::new(ops),
+        ))
     }
 
     /// The profile describing this stream's application (replay carries the
@@ -1055,6 +1047,28 @@ mod tests {
         assert_eq!(b.current_pc(), 0x104);
         assert_eq!(b.next_uop().pc, 0x104);
         assert_eq!(b.next_uop().pc, 0x100);
+    }
+
+    #[test]
+    fn retired_script_slots_must_be_zero() {
+        let s = default_stream(43);
+        let mut w = ByteWriter::new();
+        s.encode_state(&mut w);
+        let bytes = w.into_bytes();
+        // The state ends with the retired `u8` and `u64` slots.
+        let slots = bytes.len() - 9;
+        assert!(bytes[slots..] == [0; 9]);
+        for at in [slots, slots + 1, bytes.len() - 1] {
+            let mut patched = bytes.clone();
+            patched[at] = 1;
+            assert!(
+                matches!(
+                    UopStream::decode_state(&mut ByteReader::new(&patched)),
+                    Err(CodecError::Invalid(_))
+                ),
+                "accepted a nonzero retired slot at byte {at}"
+            );
+        }
     }
 
     #[test]

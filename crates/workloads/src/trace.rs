@@ -10,11 +10,12 @@
 //! future — so checkpointing, the warm pool and batched lockstep
 //! stepping work unchanged over traces.
 //!
-//! Like the synthetic script mode, a trace wraps cyclically when
-//! exhausted: streams are infinite by contract (the machine never asks
-//! "is there more?"), and a wrapped replay stays deterministic. Capture
-//! sizing keeps pinned runs comfortably inside the recorded span, so
-//! conformance fixtures never actually wrap.
+//! A trace wraps cyclically when exhausted: streams are infinite by
+//! contract (the machine never asks "is there more?"), and a wrapped
+//! replay stays deterministic. Capture sizing keeps pinned runs
+//! comfortably inside the recorded span, so conformance fixtures never
+//! actually wrap. The same cyclic replay serves the machine microtests'
+//! hand-written op sequences ([`UopStream::scripted`]).
 
 use smt_isa::codec::{self, ByteReader, ByteWriter, Codec, CodecError};
 use smt_isa::tracefile::TraceFile;
@@ -115,8 +116,7 @@ impl TraceStream {
     }
 
     /// Serialize replay state. The recorded ops travel with the state so
-    /// a checkpoint restores with no external trace file present —
-    /// exactly like the synthetic script mode.
+    /// a checkpoint restores with no external trace file present.
     pub fn encode_state(&self, w: &mut ByteWriter) {
         codec::encode_json(w, self.profile.as_ref());
         w.u64(self.addr_base);
