@@ -93,8 +93,6 @@ fn key_of_material(material: &KeyMaterial) -> CacheKey {
 /// On-disk cache of serialized sweep results.
 pub struct ResultCache {
     dir: PathBuf,
-    hits: AtomicU64,
-    misses: AtomicU64,
     tmp_seq: AtomicU64,
 }
 
@@ -105,8 +103,6 @@ impl ResultCache {
         std::fs::create_dir_all(&dir)?;
         Ok(ResultCache {
             dir,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             tmp_seq: AtomicU64::new(0),
         })
     }
@@ -120,28 +116,16 @@ impl ResultCache {
         self.dir.join(format!("{}.json", key.hex()))
     }
 
-    /// Look up `key`, counting a hit or miss. Corrupt entries are removed
-    /// and reported as misses so a bad write can never wedge a sweep.
+    /// Look up `key`. Corrupt entries are removed and reported as misses
+    /// so a bad write can never wedge a sweep.
     pub fn load<T: Deserialize>(&self, key: CacheKey) -> Option<T> {
         let path = self.entry_path(key);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        match serde::json::from_str::<T>(&text) {
-            Ok(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            Err(_) => {
-                let _ = std::fs::remove_file(&path);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let text = std::fs::read_to_string(&path).ok()?;
+        let value = serde::json::from_str::<T>(&text).ok();
+        if value.is_none() {
+            let _ = std::fs::remove_file(&path);
         }
+        value
     }
 
     /// Store `value` under `key` via temp-file + atomic rename. Storage
@@ -158,16 +142,6 @@ impl ResultCache {
             let _ = std::fs::remove_file(&tmp);
             eprintln!("warning: sweep cache write for {} failed: {e}", key.hex());
         }
-    }
-
-    /// Hits recorded by [`ResultCache::load`] since this cache was opened.
-    pub fn hit_count(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Misses recorded since this cache was opened.
-    pub fn miss_count(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
     }
 }
 
@@ -200,8 +174,6 @@ mod tests {
         };
         cache.store(key, &p);
         assert_eq!(cache.load::<Payload>(key), Some(p));
-        assert_eq!(cache.hit_count(), 1);
-        assert_eq!(cache.miss_count(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

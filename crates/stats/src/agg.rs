@@ -9,54 +9,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Geometric mean; 0 for an empty slice; requires positive values.
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    debug_assert!(xs.iter().all(|&x| x > 0.0), "geomean needs positive values");
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
-/// Sample standard deviation (n-1); 0 for fewer than two samples.
-pub fn stdev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
-}
-
-/// Half-width of a normal-approximation 95% confidence interval.
-pub fn ci95_half_width(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    1.96 * stdev(xs) / (xs.len() as f64).sqrt()
-}
-
-/// Five-number summary of a sample.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Summary {
-    pub n: usize,
-    pub mean: f64,
-    pub stdev: f64,
-    pub min: f64,
-    pub max: f64,
-}
-
-impl Summary {
-    pub fn of(xs: &[f64]) -> Summary {
-        Summary {
-            n: xs.len(),
-            mean: mean(xs),
-            stdev: stdev(xs),
-            min: xs.iter().copied().fold(f64::INFINITY, f64::min),
-            max: xs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,40 +17,5 @@ mod tests {
     fn mean_basic() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
         assert_eq!(mean(&[]), 0.0);
-    }
-
-    #[test]
-    fn geomean_basic() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
-    }
-
-    #[test]
-    fn geomean_leq_mean() {
-        let xs = [0.5, 2.0, 8.0, 1.0];
-        assert!(geomean(&xs) <= mean(&xs));
-    }
-
-    #[test]
-    fn stdev_basic() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert!((stdev(&xs) - 2.138089935).abs() < 1e-6);
-        assert_eq!(stdev(&[1.0]), 0.0);
-    }
-
-    #[test]
-    fn ci_shrinks_with_n() {
-        let small = [1.0, 2.0, 3.0, 4.0];
-        let big: Vec<f64> = small.iter().cycle().take(64).copied().collect();
-        assert!(ci95_half_width(&big) < ci95_half_width(&small));
-    }
-
-    #[test]
-    fn summary_of() {
-        let s = Summary::of(&[1.0, 3.0, 2.0]);
-        assert_eq!(s.n, 3);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-        assert_eq!(s.mean, 2.0);
     }
 }

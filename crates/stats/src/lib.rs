@@ -13,9 +13,9 @@ pub mod stack;
 pub mod table;
 pub mod timeline;
 
-pub use agg::{ci95_half_width, geomean, mean, stdev, Summary};
+pub use agg::mean;
 pub use hist::Histogram;
 pub use series::{QuantumRecord, RunSeries, SwitchEvent};
-pub use stack::{dominant, percent, percent_cell, shares};
-pub use table::{write_csv, Table};
+pub use stack::{dominant, percent_cell, shares};
+pub use table::Table;
 pub use timeline::{policy_char, render_timeline};

@@ -16,15 +16,6 @@ pub fn shares(counts: &[u64]) -> Vec<f64> {
     counts.iter().map(|&c| c as f64 / total as f64).collect()
 }
 
-/// `part` as a percentage of `whole` (0 when `whole` is 0).
-pub fn percent(part: u64, whole: u64) -> f64 {
-    if whole == 0 {
-        0.0
-    } else {
-        100.0 * part as f64 / whole as f64
-    }
-}
-
 /// Render a share as a fixed-width percentage cell, e.g. `12.3%`.
 pub fn percent_cell(share: f64) -> String {
     format!("{:.1}%", 100.0 * share)
@@ -54,12 +45,10 @@ mod tests {
     #[test]
     fn empty_stack_has_zero_shares() {
         assert_eq!(shares(&[0, 0]), vec![0.0, 0.0]);
-        assert_eq!(percent(0, 0), 0.0);
     }
 
     #[test]
-    fn percent_and_cell() {
-        assert_eq!(percent(1, 4), 25.0);
+    fn percent_cell_has_one_decimal() {
         assert_eq!(percent_cell(0.125), "12.5%");
     }
 

@@ -110,15 +110,6 @@ impl Table {
     }
 }
 
-/// Write arbitrary rows as CSV; convenience for non-[`Table`] outputs.
-pub fn write_csv(path: &Path, headers: &[&str], rows: &[Vec<String>]) -> io::Result<()> {
-    let mut t = Table::new("", headers);
-    for r in rows {
-        t.row(r.clone());
-    }
-    t.to_csv(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,15 +145,6 @@ mod tests {
         t.to_csv(&path).unwrap();
         let s = std::fs::read_to_string(&path).unwrap();
         assert_eq!(s, "a,b\n\"x,y\",\"he said \"\"hi\"\"\"\n");
-    }
-
-    #[test]
-    fn write_csv_roundtrip() {
-        let dir = std::env::temp_dir().join("smt_stats_test_csv2");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("r.csv");
-        write_csv(&path, &["h"], &[vec!["1".into()], vec!["2".into()]]).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "h\n1\n2\n");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests on the aggregation helpers.
 
 use proptest::prelude::*;
-use smt_stats::{ci95_half_width, geomean, mean, stdev, Summary};
+use smt_stats::mean;
 
 proptest! {
     #[test]
@@ -10,38 +10,5 @@ proptest! {
         let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(m >= lo - 1e-9 && m <= hi + 1e-9);
-    }
-
-    #[test]
-    fn geomean_leq_mean_for_positive(xs in prop::collection::vec(0.001..1e4f64, 1..100)) {
-        prop_assert!(geomean(&xs) <= mean(&xs) + 1e-9);
-    }
-
-    #[test]
-    fn stdev_is_nonnegative_and_shift_invariant(
-        xs in prop::collection::vec(-1e4..1e4f64, 2..50),
-        shift in -1e4..1e4f64,
-    ) {
-        let s1 = stdev(&xs);
-        let shifted: Vec<f64> = xs.iter().map(|x| x + shift).collect();
-        let s2 = stdev(&shifted);
-        prop_assert!(s1 >= 0.0);
-        prop_assert!((s1 - s2).abs() < 1e-6 * (1.0 + s1), "{s1} vs {s2}");
-    }
-
-    #[test]
-    fn constant_sample_has_zero_spread(v in -1e4..1e4f64, n in 2usize..40) {
-        let xs = vec![v; n];
-        prop_assert!(stdev(&xs).abs() < 1e-9);
-        prop_assert!(ci95_half_width(&xs).abs() < 1e-9);
-        let s = Summary::of(&xs);
-        prop_assert!((s.min - v).abs() < 1e-12 && (s.max - v).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_consistent(xs in prop::collection::vec(-1e5..1e5f64, 1..80)) {
-        let s = Summary::of(&xs);
-        prop_assert_eq!(s.n, xs.len());
-        prop_assert!(s.min <= s.mean + 1e-9 && s.mean <= s.max + 1e-9);
     }
 }
