@@ -17,9 +17,16 @@
 //! thread's `CompletionWheel`, so `complete` finds the ops due this cycle
 //! without looking at any other op, and lowers the per-thread
 //! `min_done_at` bound, so `complete` skips a thread with nothing due.
+//!
+//! The load/store queue is not a structure of its own: a thread's LSQ
+//! entries are exactly its window's memory ops past dispatch
+//! ([`InFlight::lsq_word`]). A store records its address word in its
+//! thread's `StoreFilter` the moment it dispatches, so a load searches
+//! its window for an older store to forward from only when one may still
+//! be in flight.
 
 use smt_isa::codec::{ByteReader, ByteWriter, Codec, CodecError};
-use smt_isa::MicroOp;
+use smt_isa::{MicroOp, OpKind};
 
 /// Pipeline stage of an in-flight op.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,6 +68,12 @@ pub struct InFlight {
     /// state: *not* serialized (the machine rebuilds it after decode), so
     /// snapshot bytes are unchanged from the binary-search era.
     pub wake_head: u32,
+    /// Dispatch order among the machine's memory ops: a wrapping stamp
+    /// the machine hands out as each load or store dispatches, meaningful
+    /// while [`Self::lsq_word`] is `Some`. The snapshot codec writes the
+    /// LSQ in this order. Transient: decode restamps the ops in the order
+    /// the snapshot lists them.
+    pub lsq_stamp: u32,
 }
 
 /// Sentinel for an empty wake chain ([`InFlight::wake_head`]).
@@ -90,6 +103,17 @@ impl InFlight {
     #[inline]
     pub fn past_dispatch(&self) -> bool {
         !self.in_front_end()
+    }
+
+    /// The address word (address / 8, the generator's access
+    /// granularity) of a memory op past dispatch: `Some` exactly while
+    /// the op holds an LSQ entry.
+    #[inline]
+    pub fn lsq_word(&self) -> Option<u64> {
+        match self.uop.mem {
+            Some(m) if self.past_dispatch() => Some(m.addr >> 3),
+            _ => None,
+        }
     }
 }
 
@@ -150,6 +174,7 @@ impl Codec for InFlight {
             history_at_fetch: r.u64()?,
             fetched_at: r.u64()?,
             wake_head: NO_WAKE,
+            lsq_stamp: 0,
         })
     }
 }
@@ -191,6 +216,75 @@ fn find_seq_search(window: &std::collections::VecDeque<InFlight>, seq: u64) -> O
         return Some(a.len() + i);
     }
     None
+}
+
+/// One thread's store-to-load forwarding filter: 64 slots indexed by a
+/// hash of the address word, each holding 1 + the seq of the youngest
+/// store dispatched with that hash (0 for none).
+///
+/// The filter never misses a forward. Per-thread seqs only grow and
+/// dispatch is in order, so every op older than an issuing load is past
+/// dispatch, and a store leaves the window only by commit (oldest first)
+/// or by a squash or flush (youngest first). An in-flight store therefore
+/// keeps its slot above the seq of its window's oldest op, and a load
+/// whose slot is not above it has no older store to the same word. A
+/// stale slot (its store committed or squashed) costs only a needless
+/// window scan. Transient: cloned with the machine, rebuilt from the
+/// window after decode, never serialized.
+#[derive(Clone, Debug)]
+pub(crate) struct StoreFilter {
+    slots: [u64; STORE_FILTER_SLOTS],
+}
+
+const STORE_FILTER_SLOTS: usize = 64;
+
+impl Default for StoreFilter {
+    fn default() -> Self {
+        StoreFilter {
+            slots: [0; STORE_FILTER_SLOTS],
+        }
+    }
+}
+
+impl StoreFilter {
+    /// The slot of address word `word`: the top six bits of a Fibonacci
+    /// hash, so strided words spread over every slot.
+    #[inline]
+    fn slot(word: u64) -> usize {
+        (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize
+    }
+
+    /// Record the dispatch of store `seq` to word `word`. Dispatch is in
+    /// seq order per thread, so the slot keeps its youngest store.
+    #[inline]
+    pub fn note(&mut self, word: u64, seq: u64) {
+        self.slots[Self::slot(word)] = seq + 1;
+    }
+
+    /// May a store to `word` still be in flight in a window whose oldest
+    /// op has seq `oldest`? `false` is exact; `true` asks for a scan.
+    #[inline]
+    pub fn may_hold(&self, word: u64, oldest: u64) -> bool {
+        self.slots[Self::slot(word)] > oldest
+    }
+
+    /// Does the filter cover store `seq` to `word`, as it must while the
+    /// store is in flight? For invariant checks.
+    pub fn covers(&self, word: u64, seq: u64) -> bool {
+        self.slots[Self::slot(word)] > seq
+    }
+
+    /// The filter of `window`'s dispatched stores, as dispatch would have
+    /// left it (stale slots aside).
+    pub fn of(window: &std::collections::VecDeque<InFlight>) -> Self {
+        let mut f = StoreFilter::default();
+        for op in window {
+            if let (OpKind::Store, Some(word)) = (op.uop.kind, op.lsq_word()) {
+                f.note(word, op.seq);
+            }
+        }
+        f
+    }
 }
 
 /// Empty bucket or end of a bucket's chain in a [`CompletionWheel`].
@@ -392,6 +486,7 @@ mod tests {
             history_at_fetch: 0,
             fetched_at: 0,
             wake_head: NO_WAKE,
+            lsq_stamp: 0,
         }
     }
 
@@ -484,6 +579,39 @@ mod tests {
     #[should_panic(expected = "outside the 8-bucket wheel")]
     fn wheel_rejects_a_deadline_past_its_horizon() {
         CompletionWheel::new(8, 4).insert(0, 8, 0);
+    }
+
+    #[test]
+    fn lsq_stamp_fits_in_padding() {
+        // The stamp fills padding: a `u64` one made every in-flight op
+        // 8 bytes larger and the machine's clones and heap with it.
+        assert_eq!(std::mem::size_of::<InFlight>(), 144);
+    }
+
+    #[test]
+    fn store_filter_holds_every_in_flight_store() {
+        let store = |seq: u64, addr: u64| {
+            let mut o = op(seq);
+            o.uop = MicroOp {
+                kind: OpKind::Store,
+                mem: Some(smt_isa::MemInfo { addr, size: 8 }),
+                ..MicroOp::nop(seq * 4)
+            };
+            o.stage = Stage::Queued;
+            o
+        };
+        let window: VecDeque<InFlight> = [store(3, 0x40), op(4), store(5, 0x48)].into();
+        let f = StoreFilter::of(&window);
+        assert!(f.covers(0x40 >> 3, 3) && f.covers(0x48 >> 3, 5));
+        assert!(f.may_hold(0x40 >> 3, 3) && f.may_hold(0x48 >> 3, 5));
+        // Once the oldest op in the window is younger than every store
+        // the slot saw, the slot rules the word out.
+        assert!(!f.may_hold(0x48 >> 3, 6));
+        // A front-end store holds no LSQ entry and marks nothing.
+        let mut fe = store(7, 0x50);
+        fe.stage = Stage::FrontEnd { ready_at: 0 };
+        assert_eq!(fe.lsq_word(), None);
+        assert!(!StoreFilter::of(&[fe].into()).may_hold(0x50 >> 3, 0));
     }
 
     #[test]

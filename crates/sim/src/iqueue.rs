@@ -1,13 +1,11 @@
 //! Per-thread-indexed shared queue.
 //!
-//! The machine's shared queues (the instruction queues and the LSQ) hold
-//! entries from every hardware context in global age order, but the
-//! expensive operations are per-thread: a squash removes one thread's
-//! youngest entries, a flush removes one thread's entries outright, and
-//! store-to-load forwarding only ever inspects the loading thread's own
-//! stores. A flat `Vec` makes all of those O(total occupancy) `retain`
-//! scans — on an 8-thread machine that is ~8× more work than necessary,
-//! paid on every mispredict.
+//! The machine's instruction queues hold entries from every hardware
+//! context in global age order, but the expensive operations are
+//! per-thread: a squash removes one thread's youngest entries and a flush
+//! removes one thread's entries outright. A flat `Vec` makes both
+//! O(total occupancy) `retain` scans — on an 8-thread machine that is ~8×
+//! more work than necessary, paid on every mispredict.
 //!
 //! [`IndexedQueue`] keeps each entry on **two intrusive doubly-linked
 //! lists** over one slab: the global age list (the order slot
@@ -27,7 +25,9 @@
 //! The dispatch FIFO is not an `IndexedQueue`: the machine keeps it as a
 //! plain `VecDeque` whose squashed and flushed entries die in place and
 //! are popped as free bubbles when they reach the head, so neither a
-//! squash nor a flush touches it.
+//! squash nor a flush touches it. Nor is the LSQ: its entries are the
+//! windows' memory ops past dispatch, and the machine keeps only their
+//! count.
 //!
 //! The pre-optimization `Vec`+`retain` semantics are preserved verbatim —
 //! [`reference::RetainQueue`] keeps that implementation alive as the
@@ -370,38 +370,6 @@ impl<T> IndexedQueue<T> {
         self.squash_tail(tid, 0)
     }
 
-    /// Remove `tid`'s entry with exactly `seq` (if present). O(position in
-    /// the thread's list); commit removes the thread's oldest memory op,
-    /// so in practice this is the first probe.
-    pub fn find_thread_remove(&mut self, tid: Tid, seq: u64) -> bool {
-        let mut idx = self.theads[tid.idx()];
-        while idx != NIL {
-            let n = &self.nodes[idx as usize];
-            if n.seq == seq {
-                self.unlink(idx);
-                return true;
-            }
-            if n.seq > seq {
-                return false; // seq-sorted: overshot
-            }
-            idx = n.tnext;
-        }
-        false
-    }
-
-    /// `tid`'s entries in seq order.
-    pub fn iter_thread(&self, tid: Tid) -> impl Iterator<Item = (u64, &T)> + '_ {
-        let mut idx = self.theads[tid.idx()];
-        std::iter::from_fn(move || {
-            if idx == NIL {
-                return None;
-            }
-            let n = &self.nodes[idx as usize];
-            idx = n.tnext;
-            Some((n.seq, &n.payload))
-        })
-    }
-
     /// All entries in global age order.
     pub fn iter(&self) -> impl Iterator<Item = (Tid, u64, &T)> + '_ {
         let mut idx = self.head;
@@ -626,30 +594,8 @@ pub mod reference {
             before - self.entries.len()
         }
 
-        /// Order-preserving removal by (tid, seq).
-        pub fn find_thread_remove(&mut self, tid: Tid, seq: u64) -> bool {
-            match self
-                .entries
-                .iter()
-                .position(|(t, s, _)| *t == tid && *s == seq)
-            {
-                Some(pos) => {
-                    self.entries.remove(pos);
-                    true
-                }
-                None => false,
-            }
-        }
-
         pub fn iter(&self) -> impl Iterator<Item = (Tid, u64, &T)> + '_ {
             self.entries.iter().map(|(t, s, p)| (*t, *s, p))
-        }
-
-        pub fn iter_thread(&self, tid: Tid) -> impl Iterator<Item = (u64, &T)> + '_ {
-            self.entries
-                .iter()
-                .filter(move |(t, _, _)| *t == tid)
-                .map(|(_, s, p)| (*s, p))
         }
     }
 }
@@ -741,18 +687,6 @@ mod tests {
             q.push_back(Tid(0), s, 1);
         }
         assert_eq!(q.len(), 4);
-        q.validate();
-    }
-
-    #[test]
-    fn find_thread_remove_hits_exact_seq_only() {
-        let mut q = IndexedQueue::new(2, 8);
-        q.push_back(Tid(0), 5, 0);
-        q.push_back(Tid(1), 5, 1);
-        assert!(!q.find_thread_remove(Tid(0), 4));
-        assert!(q.find_thread_remove(Tid(0), 5));
-        assert!(!q.find_thread_remove(Tid(0), 5));
-        assert_eq!(q.thread_len(Tid(1)), 1, "other thread's seq 5 survives");
         q.validate();
     }
 
@@ -871,8 +805,6 @@ mod tests {
         b.squash_tail(Tid(0), 1);
         a.remove_thread(Tid(1));
         b.remove_thread(Tid(1));
-        a.find_thread_remove(Tid(2), 0);
-        b.find_thread_remove(Tid(2), 0);
         let av: Vec<_> = a.iter().map(|(t, s, p)| (t, s, *p)).collect();
         let bv: Vec<_> = b.iter().map(|(t, s, p)| (t, s, *p)).collect();
         assert_eq!(av, bv);

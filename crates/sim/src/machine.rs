@@ -14,10 +14,11 @@
 //! 3. **issue** — pick ready ops oldest-first from the int/fp queues under
 //!    functional-unit and port constraints; loads access the D-cache here;
 //! 4. **dispatch** — move decoded ops into the queues, allocating rename
-//!    registers and LSQ entries;
+//!    registers and LSQ entries (a shared count: a thread's entries are
+//!    its window's memory ops past dispatch);
 //! 5. **fetch** — ask the [`FetchChooser`] to order fetchable threads, then
 //!    fetch up to `fetch_width` ops from the top `max_fetch_threads`
-//!    (the ICOUNT2.8-style mechanism of [20]), predicting branches and
+//!    (the ICOUNT2.8-style mechanism of \[20\]), predicting branches and
 //!    entering wrong-path mode on a fetch-time mispredict.
 //!
 //! The machine is `Clone`: the oracle scheduler in `adts-core` checkpoints
@@ -28,7 +29,9 @@ use crate::cache::Hierarchy;
 use crate::chooser::FetchChooser;
 use crate::config::{SimConfig, MAX_LATENCY};
 use crate::counters::{CounterSnapshot, PolicyView, ThreadCounters};
-use crate::inflight::{find_seq, CompletionWheel, InFlight, Stage, NO_WAKE, WHEEL_NIL};
+use crate::inflight::{
+    find_seq, CompletionWheel, InFlight, Stage, StoreFilter, NO_WAKE, WHEEL_NIL,
+};
 use crate::iqueue::{IndexedQueue, NIL};
 use crate::obs::attr::{CommitCause, FetchCause, IssueCause, SlotAttribution};
 use crate::trace::{MissLevel, TraceBuffer, TraceEvent};
@@ -71,14 +74,6 @@ struct FifoEntry {
     tid: Tid,
     pos: u32,
     seq: u64,
-}
-
-/// LSQ payload carried alongside the (tid, seq) key of an entry.
-#[derive(Clone, Copy, Debug)]
-struct LsqData {
-    /// Address quantized to 8 bytes (the generator's access granularity).
-    addr8: u64,
-    is_store: bool,
 }
 
 /// Instruction-queue payload: the facts issue needs every cycle, copied
@@ -153,6 +148,12 @@ struct ThreadCtx {
     /// a flush clears the wheel. Transient acceleration state like the
     /// wake chains: cloned, rebuilt after decode, never serialized.
     calendar: CompletionWheel,
+    /// Which address words an older in-flight store may still write:
+    /// the store-to-load forwarding check scans the window only on a hit.
+    /// Transient like the calendar; `next_seq` never resets (not on a
+    /// flush, `replace_thread` or a migration), so a stale slot stays
+    /// below every later op's seq.
+    store_filter: StoreFilter,
     /// Cold-frontend penalty of a cross-core migration: fetch is held
     /// until this cycle (0 = no pending penalty). Set by
     /// [`SmtMachine::migrate_in`], attributed as [`FetchCause::Migration`].
@@ -194,20 +195,6 @@ impl IqData {
             // decoded (the windows aren't available yet here).
             pending: 0,
             pos: 0,
-        })
-    }
-}
-
-impl LsqData {
-    fn encode_into(&self, w: &mut ByteWriter) {
-        w.u64(self.addr8);
-        w.bool(self.is_store);
-    }
-
-    fn decode_from(r: &mut ByteReader) -> Result<Self, CodecError> {
-        Ok(LsqData {
-            addr8: r.u64()?,
-            is_store: r.bool()?,
         })
     }
 }
@@ -327,6 +314,7 @@ impl ThreadCtx {
             tid,
             stream,
             wp_gen,
+            store_filter: StoreFilter::of(&window),
             window,
             base: 0,
             next_seq: r.u64()?,
@@ -408,6 +396,24 @@ impl ThreadCtx {
         self.base.wrapping_add(i as u32)
     }
 
+    /// Does an older store in `window[..i]` hold an LSQ entry for address
+    /// word `word`? The full scan the store filter gates, and the
+    /// reference oracle the filtered decision is checked against.
+    fn older_store_to(&self, i: usize, word: u64) -> bool {
+        self.window
+            .range(..i)
+            .rev()
+            .any(|op| op.uop.kind == OpKind::Store && op.lsq_word() == Some(word))
+    }
+
+    /// Memory ops holding an LSQ entry.
+    fn lsq_entries(&self) -> usize {
+        self.window
+            .iter()
+            .filter(|op| op.lsq_word().is_some())
+            .count()
+    }
+
     /// Can this thread accept fetch this cycle (ignoring chooser priority)?
     fn fetchable(&self, cycle: u64, cfg: &SimConfig) -> bool {
         self.fetch_enabled
@@ -474,7 +480,13 @@ pub struct SmtMachine {
     threads: Vec<ThreadCtx>,
     int_iq: IndexedQueue<IqData>,
     fp_iq: IndexedQueue<IqData>,
-    lsq: IndexedQueue<LsqData>,
+    /// Occupancy of the shared LSQ: the memory ops past dispatch across
+    /// all windows ([`InFlight::lsq_word`]). The windows hold the entries
+    /// themselves.
+    lsq_len: usize,
+    /// Stamp of the next memory op to dispatch ([`InFlight::lsq_stamp`]),
+    /// wrapping. Transient: decode restarts it after the snapshot's LSQ.
+    lsq_stamp: u32,
     free_int_regs: usize,
     free_fp_regs: usize,
     int_div_free_at: u64,
@@ -558,6 +570,7 @@ impl SmtMachine {
                     wp_pc: 0,
                     min_done_at: u64::MAX,
                     calendar: CompletionWheel::new(buckets, wheel_slots(&cfg)),
+                    store_filter: StoreFilter::default(),
                     migration_stall_until: 0,
                     counters: ThreadCounters::default(),
                 }
@@ -571,7 +584,8 @@ impl SmtMachine {
             threads,
             int_iq: IndexedQueue::new(cfg.threads, cfg.int_iq_size),
             fp_iq: IndexedQueue::new(cfg.threads, cfg.fp_iq_size),
-            lsq: IndexedQueue::new(cfg.threads, cfg.lsq_size),
+            lsq_len: 0,
+            lsq_stamp: 0,
             int_div_free_at: 0,
             fp_div_free_at: 0,
             pending_syscalls: VecDeque::new(),
@@ -610,7 +624,7 @@ impl SmtMachine {
         }
         self.int_iq.encode_with(w, |w, d| d.encode_into(w));
         self.fp_iq.encode_with(w, |w, d| d.encode_into(w));
-        self.lsq.encode_with(w, |w, d| d.encode_into(w));
+        self.encode_lsq(w);
         w.usize(self.free_int_regs);
         w.usize(self.free_fp_regs);
         w.u64(self.int_div_free_at);
@@ -681,8 +695,8 @@ impl SmtMachine {
         contexts(int_iq.contexts(), "int IQ")?;
         let fp_iq = IndexedQueue::decode_with(r, IqData::decode_from)?;
         contexts(fp_iq.contexts(), "fp IQ")?;
-        let lsq = IndexedQueue::decode_with(r, LsqData::decode_from)?;
-        contexts(lsq.contexts(), "LSQ")?;
+        contexts(r.usize()?, "LSQ")?;
+        let lsq_len = Self::decode_lsq(r, &mut threads, cfg.lsq_size)?;
         let free_int_regs = r.usize()?;
         let free_fp_regs = r.usize()?;
         let int_div_free_at = r.u64()?;
@@ -752,7 +766,9 @@ impl SmtMachine {
             threads,
             int_iq,
             fp_iq,
-            lsq,
+            lsq_len,
+            // Decode stamped the listed ops 0, 1, ….
+            lsq_stamp: lsq_len as u32,
             free_int_regs,
             free_fp_regs,
             int_div_free_at,
@@ -767,6 +783,86 @@ impl SmtMachine {
         // recompute them from the decoded windows/queues.
         m.rebuild_wake_state()?;
         Ok(m)
+    }
+
+    /// Write the LSQ section: the context count, the length, then each
+    /// entry's tid, seq, address word and store flag in global dispatch
+    /// order — the layout of the shared queue the windows replaced, so
+    /// snapshot bytes did not move.
+    fn encode_lsq(&self, w: &mut ByteWriter) {
+        // A stamp's distance past the next one sorts the oldest first.
+        let mut entries = Vec::with_capacity(self.lsq_len);
+        for ctx in &self.threads {
+            for op in &ctx.window {
+                if let Some(word) = op.lsq_word() {
+                    let key = op.lsq_stamp.wrapping_sub(self.lsq_stamp);
+                    let is_store = op.uop.kind == OpKind::Store;
+                    entries.push((key, ctx.tid.0, op.seq, word, is_store));
+                }
+            }
+        }
+        entries.sort_unstable();
+        w.usize(self.threads.len());
+        w.usize(entries.len());
+        for (_, tid, seq, word, is_store) in entries {
+            w.u8(tid);
+            w.u64(seq);
+            w.u64(word);
+            w.bool(is_store);
+        }
+    }
+
+    /// Read the LSQ section past its context count and check it against
+    /// the decoded windows: each entry names a distinct memory op of its
+    /// thread's window that is past dispatch, with that op's address word
+    /// and store flag, in per-thread seq order, and no such op is left
+    /// out. Stamps the listed ops in section order and returns the LSQ's
+    /// length.
+    fn decode_lsq(
+        r: &mut ByteReader,
+        threads: &mut [ThreadCtx],
+        lsq_size: usize,
+    ) -> Result<usize, CodecError> {
+        let invalid = |msg: String| Err(CodecError::Invalid(format!("LSQ {msg}")));
+        let len = r.usize()?;
+        if len > lsq_size {
+            return invalid(format!("holds {len} entries, more than its {lsq_size}"));
+        }
+        let mut last_seq: Vec<Option<u64>> = vec![None; threads.len()];
+        for stamp in 0..len {
+            let (tid, seq, word, is_store) = (r.u8()?, r.u64()?, r.u64()?, r.bool()?);
+            let Some(ctx) = threads.get_mut(tid as usize) else {
+                return invalid(format!("entry tid {tid} out of range"));
+            };
+            let tid = ctx.tid;
+            let last = &mut last_seq[tid.idx()];
+            if last.is_some_and(|s| s >= seq) {
+                return invalid(format!("entries of {tid} out of seq order at seq {seq}"));
+            }
+            *last = Some(seq);
+            let Some(i) = find_seq(&ctx.window, seq) else {
+                return invalid(format!("entry {tid} seq {seq} is not in its window"));
+            };
+            let op = &mut ctx.window[i];
+            let Some(op_word) = op.lsq_word() else {
+                return invalid(format!(
+                    "entry {tid} seq {seq} names no memory op past dispatch"
+                ));
+            };
+            if op_word != word || (op.uop.kind == OpKind::Store) != is_store {
+                return invalid(format!(
+                    "entry {tid} seq {seq} disagrees with its op's address word or kind"
+                ));
+            }
+            op.lsq_stamp = stamp as u32;
+        }
+        let held: usize = threads.iter().map(ThreadCtx::lsq_entries).sum();
+        if held != len {
+            return invalid(format!(
+                "lists {len} entries, the windows hold {held} memory ops past dispatch"
+            ));
+        }
+        Ok(len)
     }
 
     /// Recompute the transient acceleration state (wake chains, per-entry
@@ -1029,7 +1125,7 @@ impl SmtMachine {
 
     /// Current occupancy of the shared load/store queue.
     pub fn lsq_len(&self) -> usize {
-        self.lsq.len()
+        self.lsq_len
     }
 
     /// In-flight ops in one thread's reorder window.
@@ -1262,6 +1358,9 @@ impl SmtMachine {
                     op.is_done(),
                 )
             };
+            if ctx.window[i].lsq_word().is_some() {
+                self.lsq_len -= 1;
+            }
             // A squashed producer takes its wake chain with it; its
             // waiters are younger ops of the same thread, squashed here
             // too, so no pending counter goes un-decremented. (A squashed
@@ -1307,13 +1406,12 @@ impl SmtMachine {
         }
         ctx.window.truncate(cut);
         let tid = ctx.tid;
-        // Purge the shared queues of the squashed refs: O(victims) per
-        // queue, touching only this thread's entries. The dispatch FIFO
-        // keeps its dead entries until they reach the head.
+        // Purge the instruction queues of the squashed refs: O(victims)
+        // per queue, touching only this thread's entries. The dispatch
+        // FIFO keeps its dead entries until they reach the head.
         let min_gone = seq + 1;
         self.int_iq.squash_tail(tid, min_gone);
         self.fp_iq.squash_tail(tid, min_gone);
-        self.lsq.squash_tail(tid, min_gone);
 
         let ctx = &mut self.threads[ti];
         ctx.wrong_path_since = None;
@@ -1386,12 +1484,8 @@ impl SmtMachine {
                         RegClass::Fp => self.free_fp_regs += 1,
                     }
                 }
-                let tid = ctx.tid;
-                if op.uop.kind.is_mem() {
-                    // The committing op is the thread's oldest memory op,
-                    // so this probes the head of its per-thread list.
-                    let removed = self.lsq.find_thread_remove(tid, op.seq);
-                    debug_assert!(removed, "committed mem op missing from LSQ");
+                if op.lsq_word().is_some() {
+                    self.lsq_len -= 1;
                 }
                 if op.uop.kind == OpKind::Syscall {
                     ctx.counters.syscalls += 1;
@@ -1607,19 +1701,23 @@ impl SmtMachine {
             debug_assert!(false, "queue entry without window op");
             return false;
         };
-        let uop = self.threads[ti].window[i].uop;
-        let wrong_path = self.threads[ti].window[i].wrong_path;
-        let addr = uop.mem.expect("load has mem").addr;
-        let addr8 = addr >> 3;
+        let ctx = &self.threads[ti];
+        let wrong_path = ctx.window[i].wrong_path;
+        let addr = ctx.window[i].uop.mem.expect("load has mem").addr;
+        let word = addr >> 3;
         // Store-to-load forwarding: an older in-flight store to the same
-        // 8-byte word supplies the value without a cache access. Only this
-        // thread's LSQ entries are walked, and its list is seq-ordered, so
-        // the walk stops at the load's own entry.
-        let forwarded = self
-            .lsq
-            .iter_thread(q.tid)
-            .take_while(|&(seq, _)| seq < q.seq)
-            .any(|(_, e)| e.is_store && e.addr8 == addr8);
+        // 8-byte word supplies the value without a cache access. The
+        // window is scanned only when the store filter says such a store
+        // may still be in flight; `window[0]` exists, since the load does.
+        let forwarded =
+            ctx.store_filter.may_hold(word, ctx.window[0].seq) && ctx.older_store_to(i, word);
+        debug_assert_eq!(
+            forwarded,
+            ctx.older_store_to(i, word),
+            "store filter missed a forward to {} seq {}",
+            q.tid,
+            q.seq
+        );
         let (lat, l1_miss, l2_miss) = if forwarded {
             (2, false, false)
         } else {
@@ -1812,7 +1910,7 @@ impl SmtMachine {
             } else if self.int_iq.len() >= self.cfg.int_iq_size {
                 break;
             }
-            if kind.is_mem() && self.lsq.len() >= self.cfg.lsq_size {
+            if kind.is_mem() && self.lsq_len >= self.cfg.lsq_size {
                 self.threads[ti].counters.lsq_full_cycles += 1;
                 break;
             }
@@ -1827,11 +1925,18 @@ impl SmtMachine {
                 *free -= 1;
             }
             // Commit the dispatch.
-            let addr8 = op.uop.mem.map(|m| m.addr >> 3);
-            let is_store = kind == OpKind::Store;
+            let word = op.uop.mem.map(|m| m.addr >> 3);
             let deps = op.deps;
             let ctx = &mut self.threads[ti];
             ctx.window[i].stage = Stage::Queued;
+            if let Some(word) = word {
+                ctx.window[i].lsq_stamp = self.lsq_stamp;
+                self.lsq_stamp = self.lsq_stamp.wrapping_add(1);
+                self.lsq_len += 1;
+                if kind == OpKind::Store {
+                    ctx.store_filter.note(word, seq);
+                }
+            }
             ctx.counters.front_end_occ -= 1;
             ctx.counters.iq_occ += 1;
             let data = IqData {
@@ -1884,16 +1989,6 @@ impl SmtMachine {
                 q.mark_ready(slot);
             } else {
                 q.payload_mut(slot).pending = pending;
-            }
-            if let Some(a8) = addr8 {
-                self.lsq.push_back(
-                    tid,
-                    seq,
-                    LsqData {
-                        addr8: a8,
-                        is_store,
-                    },
-                );
             }
             self.dispatch_fifo.pop_front();
             if TRACE {
@@ -2052,6 +2147,7 @@ impl SmtMachine {
                 history_at_fetch: 0,
                 fetched_at: now,
                 wake_head: NO_WAKE,
+                lsq_stamp: 0,
             };
             // Gauges and cumulative fetch counters.
             ctx.counters.front_end_occ += 1;
@@ -2147,7 +2243,7 @@ impl SmtMachine {
             self.cfg.int_iq_size,
             self.fp_iq.len(),
             self.cfg.fp_iq_size,
-            self.lsq.len(),
+            self.lsq_len,
             self.cfg.lsq_size,
             self.free_int_regs,
             self.free_fp_regs,
@@ -2285,6 +2381,9 @@ impl SmtMachine {
                     op.is_done(),
                 )
             };
+            if ctx.window[i].lsq_word().is_some() {
+                self.lsq_len -= 1;
+            }
             // The whole thread goes: every producer chain dies with it
             // (its waiters are same-thread, flushed here too).
             let wake_head = std::mem::replace(&mut ctx.window[i].wake_head, NO_WAKE);
@@ -2328,7 +2427,6 @@ impl SmtMachine {
         ctx.calendar.clear();
         self.int_iq.remove_thread(tid);
         self.fp_iq.remove_thread(tid);
-        self.lsq.remove_thread(tid);
         self.pending_syscalls.retain(|q| q.tid != tid);
         // Not on the per-cycle hot path (quantum-boundary operation), so a
         // plain runtime branch suffices instead of the TRACE const.
@@ -2515,7 +2613,7 @@ impl SmtMachine {
     // ------------------------------------------------------------------
 
     fn end_cycle(&mut self) {
-        if self.lsq.len() >= self.cfg.lsq_size {
+        if self.lsq_len >= self.cfg.lsq_size {
             self.global.lsq_full_cycles += 1;
         }
         self.cycle += 1;
@@ -2579,10 +2677,39 @@ impl SmtMachine {
         assert_eq!(self.fp_iq.len(), fp_q, "fp IQ ref-count drift");
         self.int_iq.validate_ready(|d| d.pending == 0);
         self.fp_iq.validate_ready(|d| d.pending == 0);
-        self.lsq.validate();
         assert!(self.int_iq.len() <= self.cfg.int_iq_size, "int IQ overflow");
         assert!(self.fp_iq.len() <= self.cfg.fp_iq_size, "fp IQ overflow");
-        assert!(self.lsq.len() <= self.cfg.lsq_size, "LSQ overflow");
+        // The LSQ count vs the windows, and the store filter vs every
+        // store holding an entry: a store the filter does not cover is a
+        // forward a load could miss. Per thread, the dispatch stamps rise
+        // with seq, so the encoder's stamp order is dispatch order.
+        let lsq: usize = self.threads.iter().map(ThreadCtx::lsq_entries).sum();
+        assert_eq!(self.lsq_len, lsq, "LSQ count drift");
+        assert!(self.lsq_len <= self.cfg.lsq_size, "LSQ overflow");
+        for ctx in &self.threads {
+            let mut last_age = None;
+            for op in &ctx.window {
+                let Some(word) = op.lsq_word() else {
+                    continue;
+                };
+                if op.uop.kind == OpKind::Store {
+                    assert!(
+                        ctx.store_filter.covers(word, op.seq),
+                        "store filter misses {} seq {}",
+                        ctx.tid,
+                        op.seq
+                    );
+                }
+                let age = self.lsq_stamp.wrapping_sub(op.lsq_stamp);
+                assert!(
+                    last_age.is_none_or(|a| a > age) && age > 0,
+                    "LSQ stamps out of dispatch order on {} seq {}",
+                    ctx.tid,
+                    op.seq
+                );
+                last_age = Some(age);
+            }
+        }
         assert!(
             self.free_int_regs <= self.cfg.extra_phys_int,
             "int reg over-free"
@@ -2983,6 +3110,314 @@ mod tests {
             reused_at_wake > 0,
             "no producer ever completed onto a reused waiter slot"
         );
+    }
+
+    #[test]
+    fn forwarding_fires_under_squashes_and_flushes() {
+        // Each thread loops a store, a load of the same word, and a
+        // conditional branch, 256 times over with one PC for every branch
+        // and pseudo-random directions, so the predictor keeps missing:
+        // squashes remove stores and loads alike and leave stale filter
+        // slots behind. Thread 1
+        // migrates out and back in twice, a flush with its loads waiting.
+        // `check_invariants` holds the filter to every in-flight store
+        // after each cycle, and every load issue in a debug build checks
+        // the filtered decision against the full window scan.
+        use smt_isa::{BranchInfo, BranchKind, MemInfo, MicroOp};
+        let script = |t: usize| {
+            let base = smt_workloads::thread_addr_base(t);
+            let mem = |pc: u64, kind, dst: Option<u8>, addr: u64| MicroOp {
+                kind,
+                dst: dst.map(smt_isa::ArchReg::int),
+                mem: Some(MemInfo {
+                    addr: base | addr,
+                    size: 8,
+                }),
+                ..MicroOp::nop(base | pc)
+            };
+            let branch = |taken| MicroOp {
+                kind: OpKind::Branch,
+                branch: Some(BranchInfo {
+                    kind: BranchKind::Conditional,
+                    taken,
+                    target: base,
+                }),
+                ..MicroOp::nop(base | 0x8)
+            };
+            let mut rng = SplitMix64::new(t as u64);
+            (0..256u64)
+                .flat_map(|k| {
+                    let addr = 0x9000 + 8 * (k % 4);
+                    [
+                        mem(0x0, OpKind::Store, None, addr),
+                        mem(0x4, OpKind::Load, Some(3), addr),
+                        branch(rng.next_u64() & 1 == 1),
+                    ]
+                })
+                .collect::<Vec<_>>()
+        };
+        for n in 2..=4 {
+            let profile = Arc::new(AppProfile::builder("fwd").build());
+            let streams = (0..n)
+                .map(|t| {
+                    let base = smt_workloads::thread_addr_base(t);
+                    UopStream::scripted(profile.clone(), base, script(t))
+                })
+                .collect();
+            let mut m = SmtMachine::new(SimConfig::with_threads(n), streams);
+            let mut forwarded = std::collections::HashSet::new();
+            for cycle in 0..3_000 {
+                if cycle == 1_000 || cycle == 2_000 {
+                    let thread = m.migrate_out(Tid(1));
+                    m.check_invariants();
+                    m.migrate_in(Tid(1), thread, 20);
+                }
+                m.step(&mut RoundRobin);
+                m.check_invariants();
+                // An issued load with an older store to its word still in
+                // the window was forwarded: the store dispatched first and
+                // could only have left since.
+                for ctx in &m.threads {
+                    for (i, op) in ctx.window.iter().enumerate() {
+                        let issued = matches!(op.stage, Stage::Executing { .. } | Stage::Done);
+                        if op.uop.kind == OpKind::Load
+                            && issued
+                            && ctx.older_store_to(i, op.lsq_word().expect("load past dispatch"))
+                        {
+                            forwarded.insert((ctx.tid, op.seq));
+                        }
+                    }
+                }
+            }
+            let c = m.counters(Tid(0));
+            assert!(c.squashes > 100, "{n} threads: {} squashes", c.squashes);
+            assert!(
+                forwarded.len() > 1_000,
+                "{n} threads: {} forwarded loads",
+                forwarded.len()
+            );
+            assert!(
+                m.counters(Tid(1)).committed > 100,
+                "{n} threads: T1 stalled"
+            );
+        }
+    }
+
+    fn payload(m: &SmtMachine) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        m.encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// One LSQ section entry: tid, seq, address word, store flag.
+    type LsqEntry = (u8, u64, u64, bool);
+
+    /// A 4-thread machine with a well-filled LSQ and a memory op in some
+    /// front end, its payload, where its LSQ section starts and ends, and
+    /// the section's entries.
+    struct LsqSection {
+        m: SmtMachine,
+        bytes: Vec<u8>,
+        at: usize,
+        end: usize,
+        entries: Vec<LsqEntry>,
+    }
+
+    impl LsqSection {
+        fn warm() -> Self {
+            let mut m = machine(4, 5);
+            m.run(2_000, &mut RoundRobin);
+            let front_end_mem = |m: &SmtMachine| {
+                m.threads.iter().any(|ctx| {
+                    ctx.window
+                        .iter()
+                        .any(|op| op.in_front_end() && op.uop.mem.is_some())
+                })
+            };
+            while m.lsq_len() < 16 || !front_end_mem(&m) {
+                m.step(&mut RoundRobin);
+                assert!(m.cycle() < 20_000, "the LSQ never filled");
+            }
+            let bytes = payload(&m);
+            let mut w = ByteWriter::new();
+            m.encode_lsq(&mut w);
+            let section = w.into_bytes();
+            let found: Vec<usize> = bytes
+                .windows(section.len())
+                .enumerate()
+                .filter(|(_, w)| *w == &section[..])
+                .map(|(i, _)| i)
+                .collect();
+            assert_eq!(found.len(), 1, "LSQ section not unique in the payload");
+            let mut r = ByteReader::new(&section[16..]);
+            let entries = (0..m.lsq_len())
+                .map(|_| {
+                    (
+                        r.u8().unwrap(),
+                        r.u64().unwrap(),
+                        r.u64().unwrap(),
+                        r.bool().unwrap(),
+                    )
+                })
+                .collect();
+            LsqSection {
+                at: found[0],
+                end: found[0] + section.len(),
+                m,
+                bytes,
+                entries,
+            }
+        }
+
+        /// The payload with `entries` as its LSQ section, decoded.
+        fn decode(&self, entries: &[LsqEntry]) -> Result<SmtMachine, CodecError> {
+            let mut w = ByteWriter::new();
+            w.raw(&self.bytes[..self.at]);
+            w.usize(self.m.n_threads());
+            w.usize(entries.len());
+            for &(tid, seq, word, is_store) in entries {
+                w.u8(tid);
+                w.u64(seq);
+                w.u64(word);
+                w.bool(is_store);
+            }
+            w.raw(&self.bytes[self.end..]);
+            let bytes = w.into_bytes();
+            let mut r = ByteReader::new(&bytes);
+            let m = SmtMachine::decode_from(&mut r)?;
+            r.finish()?;
+            Ok(m)
+        }
+
+        /// Decoding `entries` fails with an LSQ error containing `what`.
+        fn rejects(&self, entries: &[LsqEntry], what: &str) {
+            match self.decode(entries) {
+                Err(CodecError::Invalid(msg)) => {
+                    assert!(
+                        msg.starts_with("LSQ ") && msg.contains(what),
+                        "{what}: {msg}"
+                    )
+                }
+                other => panic!(
+                    "{what}: expected Invalid, got {:?}",
+                    other.map(|_| "a machine")
+                ),
+            }
+        }
+
+        /// Seq of the first op of thread `t` that `pick` selects.
+        fn seq_where(&self, t: usize, pick: impl Fn(&InFlight) -> bool) -> u64 {
+            let op = self.m.threads[t].window.iter().find(|op| pick(op));
+            op.expect("the warm window holds such an op").seq
+        }
+    }
+
+    #[test]
+    fn lsq_section_round_trips() {
+        let s = LsqSection::warm();
+        assert!(s.entries.len() > 8, "{} LSQ entries", s.entries.len());
+        let m = s.decode(&s.entries).expect("the machine's own section");
+        m.check_invariants();
+        assert_eq!(payload(&m), s.bytes, "re-encoding moved bytes");
+    }
+
+    #[test]
+    fn lsq_entry_missing_from_its_window_is_an_error() {
+        let s = LsqSection::warm();
+        let (t, _, word, is_store) = s.entries[0];
+        let past = s.m.threads[t as usize].next_seq + 5;
+        s.rejects(&[(t, past, word, is_store)], "is not in its window");
+    }
+
+    #[test]
+    fn lsq_entry_naming_a_non_memory_or_front_end_op_is_an_error() {
+        let s = LsqSection::warm();
+        let alu = s.seq_where(0, |op| op.past_dispatch() && op.uop.mem.is_none());
+        s.rejects(&[(0, alu, 0, false)], "names no memory op past dispatch");
+        let (t, seq) = (0..4)
+            .find_map(|t| {
+                let ctx = &s.m.threads[t];
+                let op = ctx
+                    .window
+                    .iter()
+                    .find(|op| op.in_front_end() && op.uop.mem.is_some());
+                op.map(|op| (t, op.seq))
+            })
+            .expect("a memory op in some front end");
+        let op = &s.m.threads[t].window[find_seq(&s.m.threads[t].window, seq).unwrap()];
+        let word = op.uop.mem.unwrap().addr >> 3;
+        let is_store = op.uop.kind == OpKind::Store;
+        s.rejects(
+            &[(t as u8, seq, word, is_store)],
+            "names no memory op past dispatch",
+        );
+    }
+
+    #[test]
+    fn lsq_entry_disagreeing_with_its_op_is_an_error() {
+        let s = LsqSection::warm();
+        let mut wrong_word = s.entries.clone();
+        wrong_word[0].2 ^= 1;
+        s.rejects(&wrong_word, "disagrees with its op");
+        let mut wrong_kind = s.entries.clone();
+        wrong_kind[0].3 = !wrong_kind[0].3;
+        s.rejects(&wrong_kind, "disagrees with its op");
+    }
+
+    #[test]
+    fn lsq_entries_out_of_order_or_duplicated_are_errors() {
+        let s = LsqSection::warm();
+        let first = s.entries[0];
+        let later = s.entries[1..]
+            .iter()
+            .position(|e| e.0 == first.0)
+            .expect("a thread with two entries")
+            + 1;
+        let mut swapped = s.entries.clone();
+        swapped.swap(0, later);
+        s.rejects(&swapped, "out of seq order");
+        let mut duplicated = s.entries.clone();
+        duplicated.insert(1, first);
+        s.rejects(&duplicated, "out of seq order");
+    }
+
+    #[test]
+    fn lsq_entry_tid_out_of_range_is_an_error() {
+        let s = LsqSection::warm();
+        let (_, seq, word, is_store) = s.entries[0];
+        s.rejects(&[(4, seq, word, is_store)], "tid 4 out of range");
+    }
+
+    #[test]
+    fn lsq_leaving_out_a_dispatched_memory_op_is_an_error() {
+        let s = LsqSection::warm();
+        let n = s.entries.len();
+        s.rejects(
+            &s.entries[1..],
+            &format!("lists {} entries, the windows hold {n}", n - 1),
+        );
+        let over = vec![s.entries[0]; s.m.cfg.lsq_size + 1];
+        s.rejects(&over, "more than its");
+    }
+
+    #[test]
+    fn lsq_stamps_wrap() {
+        // The same machine with every stamp moved to just short of the
+        // `u32` wrap must encode the same LSQ order as it keeps running.
+        let mut a = machine(4, 6);
+        a.run(2_000, &mut RoundRobin);
+        let mut b = a.clone();
+        let shift = u32::MAX - 20;
+        b.lsq_stamp = b.lsq_stamp.wrapping_add(shift);
+        for op in b.threads.iter_mut().flat_map(|ctx| ctx.window.iter_mut()) {
+            op.lsq_stamp = op.lsq_stamp.wrapping_add(shift);
+        }
+        for _ in 0..200 {
+            a.step(&mut RoundRobin);
+            b.step(&mut RoundRobin);
+            b.check_invariants();
+            assert_eq!(payload(&a), payload(&b));
+        }
     }
 
     proptest::proptest! {
