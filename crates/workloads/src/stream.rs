@@ -44,6 +44,20 @@ const DST_WINDOW: u8 = 24;
 /// Dependence distances are capped here; beyond it the op is independent.
 const MAX_DEP_DIST: usize = 20;
 
+/// The dependence distance a uniform draw `u` in [0, 1) maps to under a
+/// geometric law with `ln_q` = ln(1 − p): 1 + ⌊ln u / ln q⌋, or `None`
+/// (an independent operand) past [`MAX_DEP_DIST`]. A draw of exactly 0
+/// has ln u = −∞, an infinite distance, so it is independent too.
+fn dep_distance(u: f64, ln_q: f64) -> Option<usize> {
+    let k = (u.ln() / ln_q).floor();
+    // `k as usize` saturates, so compare before converting: +∞ and every
+    // k past the cap are independent.
+    if k >= MAX_DEP_DIST as f64 {
+        return None;
+    }
+    Some(1 + k as usize)
+}
+
 /// Code region instruction slot size (bytes per op).
 const OP_BYTES: u64 = 4;
 
@@ -323,11 +337,7 @@ impl SynthStream {
                 ln_q
             }
         };
-        let u: f64 = self.rng.gen::<f64>();
-        let d = 1 + (u.ln() / ln_q).floor() as usize;
-        if d > MAX_DEP_DIST {
-            return None;
-        }
+        let d = dep_distance(self.rng.gen::<f64>(), ln_q)?;
         // recent_head points at the slot for the *next* push; distance 1 is
         // the most recent.
         let slot = (self.recent_head + MAX_DEP_DIST - d) % MAX_DEP_DIST;
@@ -800,6 +810,19 @@ mod tests {
 
     fn default_stream(seed: u64) -> UopStream {
         stream_of(AppProfile::builder("t").build(), seed)
+    }
+
+    #[test]
+    fn dep_distance_saturates_a_zero_draw_to_independent() {
+        let ln_q = (1.0f64 - 1.0 / 4.0).ln();
+        assert_eq!(dep_distance(0.0, ln_q), None, "ln 0 = -inf: no distance");
+        // 1 + floor(ln u / ln q): u = 0.9 gives 1, q itself gives 2, and
+        // q^20 is the first draw past the cap.
+        assert_eq!(dep_distance(0.9, ln_q), Some(1));
+        assert_eq!(dep_distance(0.75, ln_q), Some(2));
+        assert_eq!(dep_distance(0.75f64.powi(19) * 0.999, ln_q), Some(20));
+        assert_eq!(dep_distance(0.75f64.powi(20) * 0.999, ln_q), None);
+        assert_eq!(dep_distance(f64::MIN_POSITIVE, ln_q), None);
     }
 
     #[test]
