@@ -1,4 +1,4 @@
-//! Canonical JSON rendering and parsing for [`Value`](crate::Value).
+//! Canonical JSON rendering and parsing for [`Value`].
 //!
 //! The writer emits no insignificant whitespace and preserves map
 //! insertion order (declaration order for derived structs), so equal

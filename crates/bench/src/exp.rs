@@ -144,7 +144,7 @@ fn pct(x: f64) -> String {
 // ---------------------------------------------------------------------
 
 /// Aggregate IPC of each of the ten fixed fetch policies per mix
-/// (the baseline context for Table 1; [20]'s ranking should reappear:
+/// (the baseline context for Table 1; \[20\]'s ranking should reappear:
 /// ICOUNT best on average, RR near the bottom).
 pub fn table1(p: &ExpParams) -> Table {
     let mixes = p.mixes();
@@ -876,7 +876,7 @@ pub fn jobsched(p: &ExpParams) -> Table {
 }
 
 /// A5: fetch-mechanism ablation — the ICOUNT a.b partitioning study of
-/// [20] rebuilt on this substrate: a = threads fetched per cycle,
+/// \[20\] rebuilt on this substrate: a = threads fetched per cycle,
 /// b = total fetch width.
 pub fn ablate_fetchmech(p: &ExpParams) -> Table {
     let mechs: [(&str, usize, usize); 5] = [

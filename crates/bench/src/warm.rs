@@ -212,8 +212,8 @@ impl WarmPool {
     /// A warmed [`MultiCoreMachine`] for the allocation sweeps: fresh
     /// [`multicore_for_mix`] construction plus `warmup_quanta` quanta of
     /// fixed ICOUNT on every core in lockstep, memoized per
-    /// (mix, config, seed, warmup, cores, penalty) key. In-memory only —
-    /// see [`WarmPool::mc_slots`].
+    /// (mix, config, seed, warmup, cores, penalty) key. In-memory only:
+    /// the on-disk store speaks single-machine snapshots.
     pub fn warmed_multicore(
         &self,
         mix: &Mix,

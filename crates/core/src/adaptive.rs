@@ -203,7 +203,7 @@ impl AdaptiveScheduler {
     }
 
     /// The decision-audit trail: one record per completed quantum, oldest
-    /// first (ring-bounded at [`DECISION_RING_CAP`] quanta).
+    /// first (ring-bounded at `DECISION_RING_CAP`, 4,096 quanta).
     pub fn decision_log(&self) -> &EventRing<DecisionRecord> {
         &self.audit
     }

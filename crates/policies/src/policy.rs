@@ -3,7 +3,7 @@
 //! A fetch policy maps a thread's [`PolicyView`] to a priority key; the
 //! thread selection unit fetches from the threads with the *smallest* keys.
 //! The set reproduces Table 1 of the paper: BRCOUNT, L1DMISSCOUNT and RR
-//! come from Tullsen et al. [20]; LDCOUNT, MEMCOUNT, ACCIPC and STALLCOUNT
+//! come from Tullsen et al. \[20\]; LDCOUNT, MEMCOUNT, ACCIPC and STALLCOUNT
 //! are the paper's additions; L1MISSCOUNT and L1IMISSCOUNT "were added to
 //! have a closer look at the effect of the caches"; ICOUNT is the paper's
 //! baseline ("works best on the average").
@@ -11,7 +11,7 @@
 //! Interpretation notes (the paper gives one-line definitions only):
 //!
 //! - ICOUNT, BRCOUNT, LDCOUNT, MEMCOUNT use *instantaneous in-flight*
-//!   counts, following the precise definitions in [20];
+//!   counts, following the precise definitions in \[20\];
 //! - the L1*MISSCOUNT family and STALLCOUNT use the machine's decaying
 //!   recent-activity counters ("number of total misses for a thread" over
 //!   a sliding window — a cumulative count would freeze the ordering);
@@ -27,7 +27,7 @@ use smt_sim::PolicyView;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub enum FetchPolicy {
     /// Priority to threads with fewer instructions in decode, rename and
-    /// the instruction queues (the [20] baseline; best on average).
+    /// the instruction queues (the \[20\] baseline; best on average).
     Icount,
     /// Priority to threads with fewer unresolved conditional branches.
     BrCount,

@@ -2,7 +2,7 @@
 //! per-pc chooser), BTB, per-thread RAS — the Alpha 21264-era design.
 //!
 //! All direction tables and the BTB are shared by the hardware contexts
-//! (as in real SMT implementations and in [20]); each thread keeps its own
+//! (as in real SMT implementations and in \[20\]); each thread keeps its own
 //! global-history register and return-address stack. Sharing matters: a
 //! control-intensive thread degrades its neighbours' prediction accuracy,
 //! one of the interference channels BRCOUNT-style policies respond to.

@@ -52,7 +52,7 @@ pub struct SimConfig {
     /// Integer ALUs (execute IntAlu/IntMul/IntDiv/Branch/Syscall).
     pub int_alus: usize,
     /// Load/store ports (also bounded by `int_alus` in spirit; modeled
-    /// as an independent port count like [20]'s "4 of 6 units can ld/st").
+    /// as an independent port count like \[20\]'s "4 of 6 units can ld/st").
     pub ldst_ports: usize,
     /// Floating-point units.
     pub fp_units: usize,

@@ -1,7 +1,7 @@
 //! Multi-core SMT: N [`SmtMachine`] cores sharing one L2.
 //!
 //! Each core keeps its private L1s, branch predictor, queues and
-//! contexts; the L2 is lifted out of the per-core [`Hierarchy`] into a
+//! contexts; the L2 is lifted out of the per-core [`Hierarchy`](crate::cache::Hierarchy) into a
 //! single shared array. Sharing is implemented by *rotation*: every
 //! simulated cycle the shared L2 is swapped into core 0's hierarchy,
 //! core 0 steps one cycle, the L2 is swapped back out, then core 1, and
@@ -216,8 +216,8 @@ impl MultiCoreMachine {
     }
 
     /// Core `i`, mutable (quantum-boundary use: policy notes, fetch
-    /// toggles — not for stepping, which must go through [`step`]
-    /// (Self::step) so the shared L2 stays coherent).
+    /// toggles — not for stepping, which must go through
+    /// [`step`](Self::step) so the shared L2 stays coherent).
     pub fn core_mut(&mut self, i: usize) -> &mut SmtMachine {
         &mut self.cores[i]
     }
