@@ -44,8 +44,8 @@ use adts_core::{
 };
 use smt_policies::FetchPolicy;
 use smt_sim::obs::{
-    export, merge_attr_snapshots, register_attr_metrics, AttrSnapshot, CommitCause, FetchCause,
-    IssueCause, MetricsRegistry, MigrationArrow, MultiCoreSampler, PipelineSampler, SlotStack,
+    export, merge_attr_snapshots, register_attr_metrics, AttrSnapshot, FetchCause, MetricsRegistry,
+    MigrationArrow, MultiCoreSampler, PipelineSampler, SlotStack,
 };
 use smt_sim::{run_scalar_quantum, SmtMachine};
 use smt_stats::{percent_cell, shares, RunSeries, Table};
@@ -350,10 +350,6 @@ fn log_pass(
     sweep::engine().append_telemetry(&rec, wall_ms);
 }
 
-/// One stage's rows for the CPI table: stage label, category names, and
-/// per-thread count vectors in category order.
-type StageRows = (&'static str, Vec<&'static str>, Vec<Vec<u64>>);
-
 /// The compact CPI-stack table: one row per (stage, category) with
 /// per-thread slot counts and the category's share of the stage total.
 pub fn cpi_table(title: &str, snap: &AttrSnapshot) -> Table {
@@ -364,24 +360,10 @@ pub fn cpi_table(title: &str, snap: &AttrSnapshot) -> Table {
     header.push("share".into());
     let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let mut table = Table::new(title, &header_refs);
-    let stages: [StageRows; 3] = [
-        (
-            "fetch",
-            FetchCause::ALL.iter().map(|c| c.name()).collect(),
-            snap.threads.iter().map(|s| s.fetch.to_vec()).collect(),
-        ),
-        (
-            "issue",
-            IssueCause::ALL.iter().map(|c| c.name()).collect(),
-            snap.threads.iter().map(|s| s.issue.to_vec()).collect(),
-        ),
-        (
-            "commit",
-            CommitCause::ALL.iter().map(|c| c.name()).collect(),
-            snap.threads.iter().map(|s| s.commit.to_vec()).collect(),
-        ),
-    ];
-    for (stage, names, per_thread) in stages {
+    // Names from any stack, counts from every thread's.
+    let threads: Vec<_> = snap.threads.iter().map(SlotStack::stages).collect();
+    for (s, (stage, names, _)) in SlotStack::default().stages().into_iter().enumerate() {
+        let per_thread: Vec<&[u64]> = threads.iter().map(|t| t[s].2).collect();
         let totals: Vec<u64> = (0..names.len())
             .map(|c| per_thread.iter().map(|counts| counts[c]).sum())
             .collect();

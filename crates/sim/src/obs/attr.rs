@@ -62,17 +62,20 @@ impl FetchCause {
         FetchCause::Migration,
     ];
 
+    /// Every cause's name, in [`Self::ALL`] order.
+    pub const NAMES: [&'static str; FetchCause::COUNT] = [
+        "used",
+        "l1i_miss",
+        "redirect",
+        "front_end_full",
+        "rob_full",
+        "policy_starved",
+        "drain",
+        "migration",
+    ];
+
     pub fn name(self) -> &'static str {
-        match self {
-            FetchCause::Used => "used",
-            FetchCause::L1iMiss => "l1i_miss",
-            FetchCause::Redirect => "redirect",
-            FetchCause::FrontEndFull => "front_end_full",
-            FetchCause::RobFull => "rob_full",
-            FetchCause::PolicyStarved => "policy_starved",
-            FetchCause::Drain => "drain",
-            FetchCause::Migration => "migration",
-        }
+        Self::NAMES[self as usize]
     }
 }
 
@@ -103,14 +106,12 @@ impl IssueCause {
         IssueCause::Drain,
     ];
 
+    /// Every cause's name, in [`Self::ALL`] order.
+    pub const NAMES: [&'static str; IssueCause::COUNT] =
+        ["used", "iq_empty", "deps_not_ready", "fu_busy", "drain"];
+
     pub fn name(self) -> &'static str {
-        match self {
-            IssueCause::Used => "used",
-            IssueCause::IqEmpty => "iq_empty",
-            IssueCause::DepsNotReady => "deps_not_ready",
-            IssueCause::FuBusy => "fu_busy",
-            IssueCause::Drain => "drain",
-        }
+        Self::NAMES[self as usize]
     }
 }
 
@@ -140,14 +141,12 @@ impl CommitCause {
         CommitCause::Empty,
     ];
 
+    /// Every cause's name, in [`Self::ALL`] order.
+    pub const NAMES: [&'static str; CommitCause::COUNT] =
+        ["used", "data_miss", "not_ready", "squash_drain", "empty"];
+
     pub fn name(self) -> &'static str {
-        match self {
-            CommitCause::Used => "used",
-            CommitCause::DataMiss => "data_miss",
-            CommitCause::NotReady => "not_ready",
-            CommitCause::SquashDrain => "squash_drain",
-            CommitCause::Empty => "empty",
-        }
+        Self::NAMES[self as usize]
     }
 }
 
@@ -163,7 +162,21 @@ pub struct SlotStack {
     pub commit: [u64; CommitCause::COUNT],
 }
 
+/// One stage of a [`SlotStack`]: the stage's name, its causes' names and
+/// its counts, both in cause order.
+pub type StageSlots<'a> = (&'static str, &'static [&'static str], &'a [u64]);
+
 impl SlotStack {
+    /// The three stages in pipeline order — the one list the CPI JSON,
+    /// the Chrome slot tracks and the CPI table are mapped from.
+    pub fn stages(&self) -> [StageSlots<'_>; 3] {
+        [
+            ("fetch", &FetchCause::NAMES, &self.fetch),
+            ("issue", &IssueCause::NAMES, &self.issue),
+            ("commit", &CommitCause::NAMES, &self.commit),
+        ]
+    }
+
     pub fn fetch_count(&self, c: FetchCause) -> u64 {
         self.fetch[c as usize]
     }
@@ -219,23 +232,12 @@ impl SlotStack {
 
 impl Serialize for SlotStack {
     fn to_value(&self) -> Value {
-        let fetch = FetchCause::ALL
-            .iter()
-            .map(|&c| (c.name().to_string(), Value::UInt(self.fetch_count(c))))
-            .collect();
-        let issue = IssueCause::ALL
-            .iter()
-            .map(|&c| (c.name().to_string(), Value::UInt(self.issue_count(c))))
-            .collect();
-        let commit = CommitCause::ALL
-            .iter()
-            .map(|&c| (c.name().to_string(), Value::UInt(self.commit_count(c))))
-            .collect();
-        Value::Map(vec![
-            ("fetch".to_string(), Value::Map(fetch)),
-            ("issue".to_string(), Value::Map(issue)),
-            ("commit".to_string(), Value::Map(commit)),
-        ])
+        let stage = |(stage, names, counts): StageSlots| {
+            let causes = names.iter().zip(counts);
+            let causes = causes.map(|(name, &n)| (name.to_string(), Value::UInt(n)));
+            (stage.to_string(), Value::Map(causes.collect()))
+        };
+        Value::Map(self.stages().map(stage).into())
     }
 }
 

@@ -19,7 +19,7 @@
 //!   [`MetricsRegistry`]'s counters and histograms (`_bucket`/`_sum`/
 //!   `_count` triplets with cumulative `le` buckets).
 
-use crate::obs::attr::{CommitCause, FetchCause, IssueCause, SlotStack};
+use crate::obs::attr::SlotStack;
 use crate::obs::metrics::MetricsRegistry;
 use crate::trace::{MissLevel, TraceEvent};
 use serde::{Serialize, Value};
@@ -288,7 +288,7 @@ pub fn chrome_slot_tracks<'a>(
     samples: impl IntoIterator<Item = (u64, u8, &'a SlotStack)>,
 ) -> String {
     chrome(samples.into_iter().flat_map(|(ts, tid, stack)| {
-        let track = move |stage: &str, names: &[&'static str], counts: &[u64]| ChromeEvent {
+        stack.stages().map(|(stage, names, counts)| ChromeEvent {
             name: format!("{stage} slots t{tid}").into(),
             ph: "C",
             ts: Some(ts),
@@ -299,24 +299,7 @@ pub fn chrome_slot_tracks<'a>(
                 .zip(counts.iter().map(Serialize::to_value))
                 .collect(),
             ..ChromeEvent::default()
-        };
-        [
-            track(
-                "fetch",
-                &FetchCause::ALL.map(FetchCause::name),
-                &stack.fetch,
-            ),
-            track(
-                "issue",
-                &IssueCause::ALL.map(IssueCause::name),
-                &stack.issue,
-            ),
-            track(
-                "commit",
-                &CommitCause::ALL.map(CommitCause::name),
-                &stack.commit,
-            ),
-        ]
+        })
     }))
 }
 
