@@ -225,7 +225,7 @@ fn find_seq_search(window: &std::collections::VecDeque<InFlight>, seq: u64) -> O
 /// may hold a store: with one table, collisions with the thread's other
 /// in-flight stores sent 4–16% of loads to a scan on the benchmark's
 /// mixes, where about 0.1% forward; the second table cuts that to
-/// 0.3–2.2%.
+/// 0.4–2.9%.
 ///
 /// Each table alone never misses a forward. Per-thread seqs only grow and
 /// dispatch is in order, so every op older than an issuing load is past

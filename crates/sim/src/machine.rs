@@ -1714,7 +1714,7 @@ impl SmtMachine {
         debug_assert_eq!(
             forwarded,
             ctx.older_store_to(i, word),
-            "store filter missed a forward to {} seq {}",
+            "filtered forwarding decision disagrees with the window scan for {} seq {}",
             q.tid,
             q.seq
         );
@@ -3116,15 +3116,18 @@ mod tests {
 
     #[test]
     fn forwarding_fires_under_squashes_and_flushes() {
-        // Each thread loops a store, a load of the same word, and a
-        // conditional branch, 256 times over with one PC for every branch
+        // Each thread loops a store and a load of the same word (which
+        // forwards), a load and a store of another word (the younger store
+        // passes the filter, but the scan finds nothing older to forward),
+        // and a conditional branch, 256 times over with one PC per branch
         // and pseudo-random directions, so the predictor keeps missing:
         // squashes remove stores and loads alike and leave stale filter
-        // slots behind. Thread 1
-        // migrates out and back in twice, a flush with its loads waiting.
-        // `check_invariants` holds the filter to every in-flight store
-        // after each cycle, and every load issue in a debug build checks
-        // the filtered decision against the full window scan.
+        // slots behind. Thread 1 migrates out and back in twice, a flush
+        // with its loads waiting. `check_invariants` holds the filter to
+        // every in-flight store after each cycle, every load issue in a
+        // debug build checks the filtered decision against the full
+        // window scan, and each cycle's forwards are counted off the L1D:
+        // a forwarded load is the one memory op that never accesses it.
         use smt_isa::{BranchInfo, BranchKind, MemInfo, MicroOp};
         let script = |t: usize| {
             let base = smt_workloads::thread_addr_base(t);
@@ -3153,6 +3156,8 @@ mod tests {
                     [
                         mem(0x0, OpKind::Store, None, addr),
                         mem(0x4, OpKind::Load, Some(3), addr),
+                        mem(0x10, OpKind::Load, Some(4), addr + 0x100),
+                        mem(0x14, OpKind::Store, None, addr + 0x100),
                         branch(rng.next_u64() & 1 == 1),
                     ]
                 })
@@ -3167,36 +3172,61 @@ mod tests {
                 })
                 .collect();
             let mut m = SmtMachine::new(SimConfig::with_threads(n), streams);
-            let mut forwarded = std::collections::HashSet::new();
+            let mut forwarded = 0;
             for cycle in 0..3_000 {
                 if cycle == 1_000 || cycle == 2_000 {
                     let thread = m.migrate_out(Tid(1));
                     m.check_invariants();
                     m.migrate_in(Tid(1), thread, 20);
                 }
+                // A queued load's older stores have all dispatched, and a
+                // store can only leave during the step. So a load that
+                // issues this cycle forwards only if it has an older store
+                // to its word now, and surely forwards if that store is
+                // still there after the step.
+                let queued: Vec<(usize, u64, bool)> = (0..n)
+                    .flat_map(|t| {
+                        let ctx = &m.threads[t];
+                        ctx.window
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, op)| op.is_queued())
+                            .filter_map(move |(i, op)| {
+                                let word = op.lsq_word()?;
+                                let load = op.uop.kind == OpKind::Load;
+                                Some((t, op.seq, load && ctx.older_store_to(i, word)))
+                            })
+                    })
+                    .collect();
+                let accesses = m.mem.l1d.accesses;
                 m.step(&mut RoundRobin);
                 m.check_invariants();
-                // An issued load with an older store to its word still in
-                // the window was forwarded: the store dispatched first and
-                // could only have left since.
-                for ctx in &m.threads {
-                    for (i, op) in ctx.window.iter().enumerate() {
-                        let issued = matches!(op.stage, Stage::Executing { .. } | Stage::Done);
-                        if op.uop.kind == OpKind::Load
-                            && issued
-                            && ctx.older_store_to(i, op.lsq_word().expect("load past dispatch"))
-                        {
-                            forwarded.insert((ctx.tid, op.seq));
-                        }
+                let (mut issued, mut surely, mut maybe) = (0, 0, 0);
+                for (t, seq, store_before) in queued {
+                    let ctx = &m.threads[t];
+                    let Some(i) =
+                        find_seq(&ctx.window, seq).filter(|&i| !ctx.window[i].is_queued())
+                    else {
+                        continue; // still queued, or squashed
+                    };
+                    issued += 1;
+                    if store_before {
+                        maybe += 1;
+                        surely += ctx.older_store_to(i, ctx.window[i].lsq_word().unwrap()) as u64;
                     }
                 }
+                let forwards = issued - (m.mem.l1d.accesses - accesses);
+                assert!(
+                    (surely..=maybe).contains(&forwards),
+                    "{n} threads, cycle {cycle}: {forwards} forwards, {surely}..={maybe} expected"
+                );
+                forwarded += forwards;
             }
             let c = m.counters(Tid(0));
             assert!(c.squashes > 100, "{n} threads: {} squashes", c.squashes);
             assert!(
-                forwarded.len() > 1_000,
-                "{n} threads: {} forwarded loads",
-                forwarded.len()
+                forwarded > 1_000,
+                "{n} threads: {forwarded} forwarded loads"
             );
             assert!(
                 m.counters(Tid(1)).committed > 100,

@@ -70,13 +70,14 @@ fn store_to_load_forwarding_skips_the_cache() {
     let c = m.counters(Tid(0));
     assert!(c.committed > 100, "no progress");
     // Every load pairs with an immediately older same-address store, so
-    // load-side L1D misses can only come from the stores themselves
-    // (write-allocate) — the first touch — not from the loads.
+    // nearly every load forwards and never accesses the D-cache: the
+    // stores (write-allocate) account for almost every access. A miss
+    // count cannot tell, since the stores keep the word's line resident.
+    let load_accesses = m.mem.l1d.accesses - c.stores;
     assert!(
-        c.l1d_misses <= c.stores / 8 + 2,
-        "forwarding not effective: {} misses for {} stores",
-        c.l1d_misses,
-        c.stores
+        load_accesses <= c.loads / 10,
+        "forwarding not effective: {load_accesses} of {} loads accessed the D-cache",
+        c.loads
     );
 }
 
