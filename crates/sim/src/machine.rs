@@ -3336,12 +3336,6 @@ mod tests {
                 ),
             }
         }
-
-        /// Seq of the first op of thread `t` that `pick` selects.
-        fn seq_where(&self, t: usize, pick: impl Fn(&InFlight) -> bool) -> u64 {
-            let op = self.m.threads[t].window.iter().find(|op| pick(op));
-            op.expect("the warm window holds such an op").seq
-        }
     }
 
     #[test]
@@ -3364,25 +3358,23 @@ mod tests {
     #[test]
     fn lsq_entry_naming_a_non_memory_or_front_end_op_is_an_error() {
         let s = LsqSection::warm();
-        let alu = s.seq_where(0, |op| op.past_dispatch() && op.uop.mem.is_none());
-        s.rejects(&[(0, alu, 0, false)], "names no memory op past dispatch");
-        let (t, seq) = (0..4)
-            .find_map(|t| {
-                let ctx = &s.m.threads[t];
-                let op = ctx
-                    .window
-                    .iter()
-                    .find(|op| op.in_front_end() && op.uop.mem.is_some());
-                op.map(|op| (t, op.seq))
-            })
-            .expect("a memory op in some front end");
-        let op = &s.m.threads[t].window[find_seq(&s.m.threads[t].window, seq).unwrap()];
-        let word = op.uop.mem.unwrap().addr >> 3;
-        let is_store = op.uop.kind == OpKind::Store;
+        let ops = || {
+            let threads = s.m.threads.iter();
+            threads.flat_map(|ctx| ctx.window.iter().map(move |op| (ctx.tid.0, op)))
+        };
+        let (t, alu) = ops()
+            .find(|(_, op)| op.past_dispatch() && op.uop.mem.is_none())
+            .expect("a dispatched op that is not a memory op");
         s.rejects(
-            &[(t as u8, seq, word, is_store)],
+            &[(t, alu.seq, 0, false)],
             "names no memory op past dispatch",
         );
+        let (t, fe) = ops()
+            .find(|(_, op)| op.in_front_end() && op.uop.mem.is_some())
+            .expect("a memory op in some front end");
+        let word = fe.uop.mem.unwrap().addr >> 3;
+        let entry = (t, fe.seq, word, fe.uop.kind == OpKind::Store);
+        s.rejects(&[entry], "names no memory op past dispatch");
     }
 
     #[test]
