@@ -237,15 +237,25 @@ static ENGINE: OnceLock<SweepEngine> = OnceLock::new();
 /// Install the process-wide engine. Must run before any sweep executes
 /// (the binaries call it first thing in `main`); later calls are ignored
 /// with a warning because sweeps may already have consulted the engine.
+/// Its worker count also becomes the batch step budget
+/// ([`smt_sim::batch::set_step_budget`]), so `--jobs` caps the threads
+/// stepping batch groups too.
 pub fn configure(cfg: SweepConfig) {
-    if ENGINE.set(SweepEngine::new(cfg)).is_err() {
-        eprintln!("warning: sweep engine already configured; ignoring reconfiguration");
+    match ENGINE.set(SweepEngine::new(cfg)) {
+        Ok(()) => smt_sim::batch::set_step_budget(engine().jobs()),
+        Err(_) => {
+            eprintln!("warning: sweep engine already configured; ignoring reconfiguration")
+        }
     }
 }
 
 /// The process-wide engine (inert until [`configure`] installs one).
 pub fn engine() -> &'static SweepEngine {
-    ENGINE.get_or_init(SweepEngine::inert)
+    ENGINE.get_or_init(|| {
+        let e = SweepEngine::inert();
+        smt_sim::batch::set_step_budget(e.jobs());
+        e
+    })
 }
 
 #[cfg(test)]

@@ -452,10 +452,12 @@ pub fn set_lane(lane: u32) {
 
 /// Record one batch quantum's fork events on the process-wide recorder:
 /// counters split by fork kind (plan vs boundary divergence) plus an
-/// instant marker naming the quantum. No-ops when disabled or when the
-/// quantum forked nothing.
+/// instant marker naming the quantum, and a `batch_helpers` counter of
+/// the helper threads the quantum borrowed. No-ops when disabled; the
+/// fork events are left out when the quantum forked nothing.
 pub fn note_batch_forks(quantum: u64, forks: &smt_sim::QuantumForks) {
     let r = spans();
+    r.bump("batch_helpers", forks.helpers as u64);
     if !r.enabled() || !forks.forked() {
         return;
     }

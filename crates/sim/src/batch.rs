@@ -36,13 +36,26 @@
 //! Groups never merge — once diverged, cells stay apart — so the engine
 //! is intended for runs with few quanta (sweeps restore a warm snapshot
 //! and run a handful of measured quanta).
+//!
+//! A quantum runs in three phases. The calling thread plans and forks
+//! every group, then every partition's machine is stepped, then the
+//! calling thread observes and forks at the boundary in partition
+//! order. The partitions share nothing, so the middle phase runs on the
+//! calling thread plus helper threads drawn from a process-wide budget
+//! ([`set_step_budget`]). Each machine is stepped by exactly one thread
+//! and every cell call stays on the calling thread, in the same order,
+//! so no result depends on the budget or on how the threads interleave.
 
 use crate::machine::SmtMachine;
+use std::panic;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 /// The machine side of lockstep stepping: anything deterministic and
 /// clonable that a [`LockstepCell`] can plan over. Implemented by
-/// [`SmtMachine`] and by `MultiCoreMachine` (multi-core cells).
-pub trait LockstepMachine: Clone {}
+/// [`SmtMachine`] and by `MultiCoreMachine` (multi-core cells). `Send`
+/// because a quantum may step a partition's machine on a helper thread.
+pub trait LockstepMachine: Clone + Send {}
 
 impl LockstepMachine for SmtMachine {}
 
@@ -63,8 +76,9 @@ impl LockstepMachine for SmtMachine {}
 pub trait LockstepCell<M: LockstepMachine = SmtMachine> {
     /// Everything that determines the machine's evolution over one
     /// quantum. Two equal plans applied to bit-identical machines must
-    /// produce bit-identical machines.
-    type Plan: Clone + PartialEq + std::fmt::Debug;
+    /// produce bit-identical machines. `Send + Sync` because a helper
+    /// thread may execute it.
+    type Plan: Clone + PartialEq + std::fmt::Debug + Send + Sync;
 
     /// Machine mutation requested at the quantum boundary (often a
     /// no-op). Two equal boundaries applied to bit-identical machines
@@ -122,6 +136,9 @@ pub struct QuantumForks {
     pub boundary_forks: u64,
     /// Live equivalence groups after the quantum.
     pub groups: usize,
+    /// Helper threads that stepped partitions beside the calling thread
+    /// (0 when the quantum stepped serially).
+    pub helpers: usize,
 }
 
 impl QuantumForks {
@@ -131,10 +148,104 @@ impl QuantumForks {
     }
 }
 
+/// Threads allowed to step batch groups at once, process-wide; 0 until
+/// [`set_step_budget`] is called.
+static BUDGET: AtomicUsize = AtomicUsize::new(0);
+
+/// Threads stepping batch groups right now: each quantum's calling
+/// thread plus the helpers it took.
+static STEPPING: AtomicUsize = AtomicUsize::new(0);
+
+/// Cap the threads that step batch groups at once, across every batch
+/// in the process (at least 1). A quantum counts its calling thread and
+/// takes helpers only from what is left, so at most `threads - 1`
+/// helpers exist at any moment, and `1` steps every batch serially.
+/// Results never depend on the budget (module docs).
+pub fn set_step_budget(threads: usize) {
+    BUDGET.store(threads.max(1), Ordering::Relaxed);
+}
+
+/// The budget [`set_step_budget`] set, or the host's available
+/// parallelism if it was never called.
+pub fn step_budget() -> usize {
+    match BUDGET.load(Ordering::Relaxed) {
+        0 => {
+            static HOST: OnceLock<usize> = OnceLock::new();
+            *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        }
+        n => n,
+    }
+}
+
+/// One quantum's share of the budget: its calling thread and `helpers`
+/// more, returned on drop — also when a cell panics.
+struct Stepping {
+    helpers: usize,
+}
+
+impl Stepping {
+    /// Count the calling thread and take up to `want` helpers from what
+    /// the budget has left, without waiting.
+    fn take(want: usize) -> Stepping {
+        let budget = step_budget();
+        let helpers = |busy: usize| want.min(budget.saturating_sub(busy + 1));
+        let busy = STEPPING
+            .fetch_update(Ordering::AcqRel, Ordering::Relaxed, |busy| {
+                Some(busy + 1 + helpers(busy))
+            })
+            .expect("the update always applies");
+        Stepping {
+            helpers: helpers(busy),
+        }
+    }
+}
+
+impl Drop for Stepping {
+    fn drop(&mut self) {
+        STEPPING.fetch_sub(1 + self.helpers, Ordering::AcqRel);
+    }
+}
+
 struct Group<M> {
     machine: M,
     /// Cell indices sharing `machine`, ascending.
     members: Vec<usize>,
+}
+
+/// One plan partition of a group: stepped once, then observed by its
+/// members.
+struct Part<P, M> {
+    plan: P,
+    machine: M,
+    members: Vec<usize>,
+}
+
+/// Execute every part's plan on its machine, on the calling thread and
+/// as many helpers as the budget allows. Parts are taken in order off a
+/// shared index, so each machine is stepped by exactly one thread. A
+/// helper's panic is re-raised on the calling thread with its own
+/// payload. Returns the helpers used.
+fn step_parts<M: LockstepMachine, C: LockstepCell<M>>(parts: &mut [Part<C::Plan, M>]) -> usize {
+    let stepping = Stepping::take(parts.len().saturating_sub(1));
+    let parts: Vec<Mutex<&mut Part<C::Plan, M>>> = parts.iter_mut().map(Mutex::new).collect();
+    let next = AtomicUsize::new(0);
+    let work = || {
+        while let Some(part) = parts.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let mut part = part.lock().expect("each part is taken once");
+            let part = &mut **part;
+            C::execute(&part.plan, &mut part.machine);
+        }
+    };
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = (0..stepping.helpers).map(|_| s.spawn(work)).collect();
+        work();
+        for h in helpers {
+            if let Err(payload) = h.join() {
+                panic::resume_unwind(payload);
+            }
+        }
+    });
+    stepping.helpers
 }
 
 /// N cells stepped in lockstep over shared machines (see module docs).
@@ -167,66 +278,72 @@ where
     }
 
     /// Advance every cell by one quantum. Returns the quantum's fork
-    /// activity (plan/boundary splits and resulting group count) so
-    /// callers can stream fork events without diffing [`Self::stats`].
+    /// activity (plan/boundary splits, resulting group count and helper
+    /// threads) so callers can stream fork events without diffing
+    /// [`Self::stats`].
     pub fn run_quantum(&mut self) -> QuantumForks {
         let before = self.stats;
         self.stats.quanta += 1;
         self.stats.cell_quanta += self.cells.len() as u64;
 
-        let groups = std::mem::take(&mut self.groups);
-        let mut next = Vec::with_capacity(groups.len());
-        for group in groups {
-            let Group { machine, members } = group;
-
-            // Fork point 1: partition members by plan.
-            let mut parts: Vec<(C::Plan, Vec<usize>)> = Vec::new();
-            for &ci in &members {
+        // Phase 1, fork point 1: partition each group's members by plan.
+        // The first partition inherits the group's machine; later ones
+        // clone it before anything steps.
+        let mut parts = Vec::with_capacity(self.groups.len());
+        for Group { machine, members } in std::mem::take(&mut self.groups) {
+            let mut split: Vec<(C::Plan, Vec<usize>)> = Vec::new();
+            for ci in members {
                 let plan = self.cells[ci].plan(&machine);
-                match parts.iter_mut().find(|(p, _)| *p == plan) {
+                match split.iter_mut().find(|(p, _)| *p == plan) {
                     Some((_, m)) => m.push(ci),
-                    None => parts.push((plan, vec![ci])),
+                    None => split.push((plan, vec![ci])),
                 }
             }
-            self.stats.plan_forks += parts.len() as u64 - 1;
+            self.stats.plan_forks += split.len() as u64 - 1;
+            let clones: Vec<M> = (1..split.len()).map(|_| machine.clone()).collect();
+            let machines = std::iter::once(machine).chain(clones);
+            for ((plan, members), machine) in split.into_iter().zip(machines) {
+                parts.push(Part {
+                    plan,
+                    machine,
+                    members,
+                });
+            }
+        }
 
-            // Step each partition once. The first partition inherits the
-            // group's machine; later ones clone it (the clone happens
-            // lazily, only when a next partition actually exists).
-            let n_parts = parts.len();
-            let mut unstepped = Some(machine);
-            for (pi, (plan, members)) in parts.into_iter().enumerate() {
-                let mut m = unstepped.take().expect("partition machine");
-                if pi + 1 < n_parts {
-                    unstepped = Some(m.clone());
-                }
-                C::execute(&plan, &mut m);
-                self.stats.machine_quanta += 1;
+        // Phase 2: step each partition once.
+        let helpers = step_parts::<M, C>(&mut parts);
+        self.stats.machine_quanta += parts.len() as u64;
 
-                // Fork point 2: partition by boundary action.
-                let mut bparts: Vec<(C::Boundary, Vec<usize>)> = Vec::new();
-                for &ci in &members {
-                    let b = self.cells[ci].observe(&m);
-                    match bparts.iter_mut().find(|(p, _)| *p == b) {
-                        Some((_, mm)) => mm.push(ci),
-                        None => bparts.push((b, vec![ci])),
-                    }
+        // Phase 3, fork point 2: partition by boundary action, in
+        // partition order.
+        let mut next = Vec::with_capacity(parts.len());
+        for Part {
+            machine, members, ..
+        } in parts
+        {
+            let mut bparts: Vec<(C::Boundary, Vec<usize>)> = Vec::new();
+            for ci in members {
+                let b = self.cells[ci].observe(&machine);
+                match bparts.iter_mut().find(|(p, _)| *p == b) {
+                    Some((_, mm)) => mm.push(ci),
+                    None => bparts.push((b, vec![ci])),
                 }
-                self.stats.boundary_forks += bparts.len() as u64 - 1;
+            }
+            self.stats.boundary_forks += bparts.len() as u64 - 1;
 
-                let n_bparts = bparts.len();
-                let mut stepped = Some(m);
-                for (bi, (b, members)) in bparts.into_iter().enumerate() {
-                    let mut m = stepped.take().expect("boundary machine");
-                    if bi + 1 < n_bparts {
-                        stepped = Some(m.clone());
-                    }
-                    C::apply_boundary(&b, &mut m);
-                    next.push(Group {
-                        machine: m,
-                        members,
-                    });
+            let n_bparts = bparts.len();
+            let mut stepped = Some(machine);
+            for (bi, (b, members)) in bparts.into_iter().enumerate() {
+                let mut m = stepped.take().expect("boundary machine");
+                if bi + 1 < n_bparts {
+                    stepped = Some(m.clone());
                 }
+                C::apply_boundary(&b, &mut m);
+                next.push(Group {
+                    machine: m,
+                    members,
+                });
             }
         }
         self.groups = next;
@@ -234,6 +351,7 @@ where
             plan_forks: self.stats.plan_forks - before.plan_forks,
             boundary_forks: self.stats.boundary_forks - before.boundary_forks,
             groups: self.groups.len(),
+            helpers,
         }
     }
 
