@@ -50,6 +50,29 @@ impl Cache {
         }
     }
 
+    /// A cache of `geom` that holds no lines: the stand-in a multi-core
+    /// core keeps for the shared L2 between rotations. It must not be
+    /// accessed, and it encodes as the fresh [`Cache::new`] image it
+    /// stands for.
+    pub(crate) fn detached(geom: CacheGeometry) -> Self {
+        Cache {
+            geom,
+            sets: geom.sets(),
+            line_shift: geom.line_bytes.trailing_zeros(),
+            tags: Vec::new(),
+            stamps: Vec::new(),
+            tick: 0,
+            accesses: 0,
+            misses: 0,
+        }
+    }
+
+    /// Whether this is a [`Cache::detached`] stand-in (a real cache
+    /// always has at least one line).
+    pub(crate) fn is_detached(&self) -> bool {
+        self.tags.is_empty()
+    }
+
     #[inline]
     fn set_of(&self, addr: u64) -> usize {
         ((addr >> self.line_shift) as usize) & (self.sets - 1)
@@ -114,6 +137,9 @@ impl Cache {
     /// checkpointing. Exact: a decoded cache hits, misses and evicts
     /// identically to the original.
     pub(crate) fn encode_into(&self, w: &mut ByteWriter) {
+        if self.is_detached() {
+            return Cache::new(self.geom).encode_into(w);
+        }
         codec::encode_json(w, &self.geom);
         self.tags.encode(w);
         self.stamps.encode(w);

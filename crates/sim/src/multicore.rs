@@ -39,7 +39,8 @@ pub struct MultiCoreMachine {
     cores: Vec<SmtMachine>,
     /// The shared L2, held here between steps and rotated through each
     /// core's hierarchy inside [`step`](Self::step). The `mem.l2` left
-    /// behind in each core meanwhile is an untouched fresh placeholder.
+    /// behind in each core meanwhile is a detached stand-in that holds
+    /// only the geometry and encodes as a fresh cache.
     shared_l2: Cache,
     /// Global thread id → (core, context slot).
     placement: Vec<(usize, usize)>,
@@ -54,8 +55,9 @@ impl MultiCoreMachine {
     /// Assemble a machine from per-core [`SmtMachine`]s and an initial
     /// placement (`placement[g] = (core, slot)` for global thread `g`).
     /// The shared L2 is seeded from core 0's hierarchy (the other cores'
-    /// L2 contents are discarded — build them fresh); context slots left
-    /// unoccupied by `placement` are parked (fetch-disabled).
+    /// L2 contents are discarded, and a snapshot encodes every core's L2
+    /// as fresh — build them fresh); context slots left unoccupied by
+    /// `placement` are parked (fetch-disabled).
     ///
     /// # Panics
     /// Panics on an empty core list, a placement entry out of range, a
@@ -96,7 +98,10 @@ impl MultiCoreMachine {
             // rotation — pure trace context for CacheMiss events.
             core.set_l2_rot(c as u8);
         }
-        let shared_l2 = std::mem::replace(&mut cores[0].mem.l2, Cache::new(geom));
+        let shared_l2 = std::mem::replace(&mut cores[0].mem.l2, Cache::detached(geom));
+        for core in &mut cores[1..] {
+            core.mem.l2 = Cache::detached(geom);
+        }
         let migrations = vec![0; placement.len()];
         MultiCoreMachine {
             cores,
@@ -534,6 +539,7 @@ impl MultiCoreSnapshot {
         }
         for (c, core) in cores.iter_mut().enumerate() {
             core.set_l2_rot(c as u8);
+            core.mem.l2 = Cache::detached(shared_l2.geometry());
         }
 
         Ok(MultiCoreSnapshot {
@@ -546,5 +552,59 @@ impl MultiCoreSnapshot {
             },
             alloc_state,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chooser::RoundRobin;
+    use crate::config::SimConfig;
+    use smt_isa::AppProfile;
+    use smt_workloads::UopStream;
+    use std::sync::Arc;
+
+    fn core(first_thread: usize, n: usize) -> SmtMachine {
+        let streams = (first_thread..first_thread + n)
+            .map(|g| {
+                UopStream::new(
+                    Arc::new(AppProfile::builder("t").build()),
+                    40 + g as u64,
+                    smt_workloads::thread_addr_base(g),
+                )
+            })
+            .collect();
+        SmtMachine::new(SimConfig::with_threads(n), streams)
+    }
+
+    fn encoded(cache: &Cache) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        cache.encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn cores_hold_no_l2_lines_and_encode_a_fresh_one() {
+        let placement = vec![(0, 0), (0, 1), (1, 0), (1, 1)];
+        let mut m = MultiCoreMachine::from_cores(vec![core(0, 2), core(2, 2)], placement, 64);
+        m.run(3_000, &mut [RoundRobin, RoundRobin]);
+        assert!(m.shared_l2().misses > 0, "the shared L2 was never used");
+        let geom = m.shared_l2().geometry();
+        let bytes = MultiCoreSnapshot::capture(&m, vec![7]).to_bytes();
+        let back = MultiCoreSnapshot::from_bytes(&bytes).expect("its own bytes");
+        assert_eq!(back.to_bytes(), bytes, "the round trip moved bytes");
+        let fresh = encoded(&Cache::new(geom));
+        for (what, mc) in [("built", &m), ("decoded", &back.restore())] {
+            for (i, core) in mc.cores.iter().enumerate() {
+                assert!(core.mem.l2.is_detached(), "{what} core {i} holds lines");
+                assert_eq!(encoded(&core.mem.l2), fresh, "{what} core {i}");
+            }
+        }
+        // Cores that each kept a fresh full-size L2 encode the same bytes.
+        let mut full = m.clone();
+        for core in &mut full.cores {
+            core.mem.l2 = Cache::new(geom);
+        }
+        assert_eq!(MultiCoreSnapshot::capture(&full, vec![7]).to_bytes(), bytes);
     }
 }
