@@ -307,6 +307,15 @@ impl ThreadCtx {
             if last_seq.is_some_and(|s| op.seq <= s) {
                 return Err(CodecError::Invalid("window out of seq order".into()));
             }
+            // The stages trust an op's kind to say which fields it carries
+            // (a load's `mem`, a branch's `branch`), so a mismatch would
+            // panic later instead of failing here.
+            if !op.uop.is_well_formed() {
+                return Err(CodecError::Invalid(format!(
+                    "{tid} seq {} is an ill-formed {:?} op",
+                    op.seq, op.uop.kind
+                )));
+            }
             last_seq = Some(op.seq);
             window.push_back(op);
         }
@@ -3422,6 +3431,32 @@ mod tests {
         );
         let over = vec![s.entries[0]; s.m.cfg.lsq_size + 1];
         s.rejects(&over, "more than its");
+    }
+
+    #[test]
+    fn ill_formed_window_op_is_an_error() {
+        // A queued load without its address would decode, then panic
+        // when it issues.
+        let mut m = LsqSection::warm().m;
+        let (tid, op) = m
+            .threads
+            .iter_mut()
+            .find_map(|ctx| {
+                let tid = ctx.tid;
+                let load = ctx
+                    .window
+                    .iter_mut()
+                    .find(|op| op.is_queued() && op.uop.kind == OpKind::Load);
+                load.map(|op| (tid, op))
+            })
+            .expect("a queued load");
+        op.uop.mem = None;
+        let want = format!("{tid} seq {} is an ill-formed Load op", op.seq);
+        let bytes = payload(&m);
+        match SmtMachine::decode_from(&mut ByteReader::new(&bytes)) {
+            Err(CodecError::Invalid(msg)) => assert_eq!(msg, want),
+            other => panic!("expected Invalid, got {:?}", other.map(|_| "a machine")),
+        }
     }
 
     #[test]
