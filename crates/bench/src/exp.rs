@@ -5,9 +5,8 @@
 //! paper plots. All randomness derives from [`ExpParams::seed`], so every
 //! table is reproducible bit-for-bit.
 
-use crate::parallel::par_map;
 use crate::params::ExpParams;
-use crate::sweep;
+use crate::sweep::{self, par_map};
 use crate::warm::{warmed_machine, warmed_machine_with};
 use adts_core::{
     adaptive::SelfTuning, machine_for_mix, run_oracle, AdaptiveScheduler, AdtsConfig, AllocCell,

@@ -115,6 +115,35 @@ where
         .collect()
 }
 
+/// Map `f` over `items` with the engine's worker count (`--jobs`),
+/// preserving input order. A panicking item aborts the whole map with a
+/// message naming every failed point; callers that need per-item errors
+/// use [`run_isolated`].
+pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let results = run_isolated(&items, super::engine().jobs(), f);
+    let failures: Vec<String> = results
+        .iter()
+        .filter_map(|r| r.as_ref().err().map(PointError::to_string))
+        .collect();
+    if !failures.is_empty() {
+        panic!(
+            "{} of {} sweep points failed: {}",
+            failures.len(),
+            items.len(),
+            failures.join("; ")
+        );
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("failures were checked above"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,6 +188,24 @@ mod tests {
                 assert_eq!(*r.as_ref().unwrap(), i as u64 * 2, "sibling {i} lost");
             }
         }
+    }
+
+    #[test]
+    fn par_map_panics_naming_the_failed_point() {
+        let panic = catch_unwind(|| {
+            par_map(vec![1, 2, 3], |&x: &i32| {
+                if x == 2 {
+                    panic!("bad point");
+                }
+                x
+            })
+        })
+        .expect_err("a failed point aborts the map");
+        let msg = panic_message(panic);
+        assert!(
+            msg.starts_with("1 of 3 sweep points failed: sweep point 1 panicked: bad point"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod telemetry;
 
 pub use cache::{point_key, CacheKey, ResultCache, CODE_SALT};
 pub use ckpt::{CkptStats, CkptStore};
-pub use executor::{resolve_jobs, run_isolated, PointError};
+pub use executor::{par_map, resolve_jobs, run_isolated, PointError};
 pub use span::{spans, SpanArtifacts, SpanEvent, SpanRecorder};
 pub use telemetry::{
     CacheOutcome, ObsSummary, TelemetryRecord, TelemetrySink, TELEMETRY_SCHEMA_VERSION,

@@ -7,7 +7,7 @@
 //! time — e.g. the branch outcome is compared against a real predictor at
 //! fetch, and the mispredict is only acted on when the branch executes.
 
-use crate::regs::ArchReg;
+use crate::regs::{ArchReg, NUM_ARCH_REGS_PER_CLASS};
 use serde::{Deserialize, Serialize};
 
 /// Operation kind. Determines which queue, functional unit and latency the
@@ -138,8 +138,9 @@ impl MicroOp {
     }
 
     /// Internal consistency: memory ops carry `mem`, branches carry `branch`,
-    /// and nothing else does. The workload generator upholds this; tests and
-    /// debug assertions in the pipeline check it.
+    /// and nothing else does; every register is an architectural one. The
+    /// workload generator upholds this; tests and debug assertions in the
+    /// pipeline check it.
     pub fn is_well_formed(&self) -> bool {
         let mem_ok = self.kind.is_mem() == self.mem.is_some();
         let br_ok = self.kind.is_branch() == self.branch.is_some();
@@ -147,7 +148,11 @@ impl MicroOp {
             OpKind::Store | OpKind::Branch | OpKind::Syscall | OpKind::Nop => self.dst.is_none(),
             _ => self.dst.is_some(),
         };
-        mem_ok && br_ok && dst_ok
+        let regs_ok = [self.dst, self.src1, self.src2]
+            .into_iter()
+            .flatten()
+            .all(|r| r.idx < NUM_ARCH_REGS_PER_CLASS);
+        mem_ok && br_ok && dst_ok && regs_ok
     }
 }
 
@@ -182,6 +187,16 @@ mod tests {
     fn load_without_mem_is_ill_formed() {
         let mut op = alu(4);
         op.kind = OpKind::Load;
+        assert!(!op.is_well_formed());
+    }
+
+    #[test]
+    fn register_past_the_architectural_file_is_ill_formed() {
+        let mut op = alu(4);
+        op.src1 = Some(ArchReg {
+            idx: NUM_ARCH_REGS_PER_CLASS,
+            ..ArchReg::int(0)
+        });
         assert!(!op.is_well_formed());
     }
 

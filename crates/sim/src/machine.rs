@@ -41,6 +41,16 @@ use smt_isa::{BranchKind, OpKind, RegClass, Tid};
 use smt_workloads::{SplitMix64, UopStream};
 use std::collections::VecDeque;
 
+/// `Err` with the formatted message unless `cond` holds: the `assert!`
+/// of [`SmtMachine::validate`].
+macro_rules! ensure {
+    ($cond:expr, $($msg:tt)+) => {
+        if !$cond {
+            return Err(format!($($msg)+));
+        }
+    };
+}
+
 /// Machine-wide statistics the detector thread (and experiment harness)
 /// reads in addition to the per-thread counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -301,25 +311,10 @@ impl ThreadCtx {
         // Rebuilt contiguous regardless of the source ring's split point —
         // unobservable, since all window lookups index logically.
         let mut window = VecDeque::with_capacity(cfg.rob_per_thread);
-        let mut last_seq = None;
         for _ in 0..n {
-            let op = InFlight::decode(r)?;
-            if last_seq.is_some_and(|s| op.seq <= s) {
-                return Err(CodecError::Invalid("window out of seq order".into()));
-            }
-            // The stages trust an op's kind to say which fields it carries
-            // (a load's `mem`, a branch's `branch`), so a mismatch would
-            // panic later instead of failing here.
-            if !op.uop.is_well_formed() {
-                return Err(CodecError::Invalid(format!(
-                    "{tid} seq {} is an ill-formed {:?} op",
-                    op.seq, op.uop.kind
-                )));
-            }
-            last_seq = Some(op.seq);
-            window.push_back(op);
+            window.push_back(InFlight::decode(r)?);
         }
-        let ctx = ThreadCtx {
+        Ok(ThreadCtx {
             tid,
             stream,
             wp_gen,
@@ -339,55 +334,7 @@ impl ThreadCtx {
             counters: codec::decode_json(r)?,
             // Filled by `rebuild_wake_state` once the machine is decoded.
             calendar: CompletionWheel::new(wheel_buckets, wheel_slots(cfg)),
-        };
-        // The stages decrement these gauges without checking for
-        // underflow, so a leaf that disagrees with the window is corrupt.
-        if let Some((gauge, kept, counted)) = ctx.gauge_drift() {
-            return Err(CodecError::Invalid(format!(
-                "{tid} {gauge} gauge {kept} disagrees with its window's {counted}"
-            )));
-        }
-        Ok(ctx)
-    }
-
-    /// The first of the six gauges a thread's counters derive from its
-    /// window (front end, IQ, in-flight branches, loads and memory ops,
-    /// outstanding D-misses) whose maintained value disagrees with a
-    /// recount of the window: `(name, maintained, recounted)`.
-    fn gauge_drift(&self) -> Option<(&'static str, u32, u32)> {
-        let (mut fe, mut iq, mut brs, mut lds, mut mems, mut dmiss) = (0, 0, 0, 0, 0, 0);
-        for op in &self.window {
-            match op.stage {
-                Stage::FrontEnd { .. } => fe += 1,
-                Stage::Queued => iq += 1,
-                Stage::Executing { .. } if op.dmiss => dmiss += 1,
-                _ => {}
-            }
-            if !op.is_done() {
-                if op.uop.is_cond_branch() {
-                    brs += 1;
-                }
-                match op.uop.kind {
-                    OpKind::Load => {
-                        lds += 1;
-                        mems += 1;
-                    }
-                    OpKind::Store => mems += 1,
-                    _ => {}
-                }
-            }
-        }
-        let c = &self.counters;
-        [
-            ("front_end_occ", c.front_end_occ, fe),
-            ("iq_occ", c.iq_occ, iq),
-            ("inflight_branches", c.inflight_branches, brs),
-            ("inflight_loads", c.inflight_loads, lds),
-            ("inflight_mem", c.inflight_mem, mems),
-            ("outstanding_dmiss", c.outstanding_dmiss, dmiss),
-        ]
-        .into_iter()
-        .find(|&(_, kept, counted)| kept != counted)
+        })
     }
 
     /// Window index of the op at position `pos`, if it is still the op
@@ -413,14 +360,6 @@ impl ThreadCtx {
             .range(..i)
             .rev()
             .any(|op| op.uop.kind == OpKind::Store && op.lsq_word() == Some(word))
-    }
-
-    /// Memory ops holding an LSQ entry.
-    fn lsq_entries(&self) -> usize {
-        self.window
-            .iter()
-            .filter(|op| op.lsq_word().is_some())
-            .count()
     }
 
     /// Can this thread accept fetch this cycle (ignoring chooser priority)?
@@ -705,7 +644,7 @@ impl SmtMachine {
         let fp_iq = IndexedQueue::decode_with(r, IqData::decode_from)?;
         contexts(fp_iq.contexts(), "fp IQ")?;
         contexts(r.usize()?, "LSQ")?;
-        let lsq_len = Self::decode_lsq(r, &mut threads, cfg.lsq_size)?;
+        let lsq_len = Self::decode_lsq(r, &mut threads)?;
         let free_int_regs = r.usize()?;
         let free_fp_regs = r.usize()?;
         let int_div_free_at = r.u64()?;
@@ -733,7 +672,6 @@ impl SmtMachine {
         contexts(r.usize()?, "dispatch FIFO")?;
         let len = r.usize()?;
         let mut dispatch_fifo = VecDeque::with_capacity(len.min(r.remaining()));
-        let mut last_seq: Vec<Option<u64>> = vec![None; n_threads];
         for _ in 0..len {
             let tid = r.u8()?;
             if tid as usize >= n_threads {
@@ -742,13 +680,6 @@ impl SmtMachine {
                 )));
             }
             let seq = r.u64()?;
-            let last = &mut last_seq[tid as usize];
-            if last.is_some_and(|s| s >= seq) {
-                return Err(CodecError::Invalid(
-                    "dispatch FIFO entries out of seq order".into(),
-                ));
-            }
-            *last = Some(seq);
             // Positions restart at 0 (`base`), so an op's position is its
             // window index. An entry whose op is not in the window would
             // be a dead entry, which the encoder never writes.
@@ -789,8 +720,10 @@ impl SmtMachine {
         // The wake chains, `pending` counters, ready lists, positions and
         // completion wheels are transient (not part of the byte format)
         // and the queue decode does not preserve slab indices, so
-        // recompute them from the decoded windows/queues.
-        m.rebuild_wake_state()?;
+        // recompute them from the decoded windows/queues. Then accept
+        // only a machine the simulator could have reached.
+        m.rebuild_wake_state();
+        m.validate().map_err(CodecError::Invalid)?;
         Ok(m)
     }
 
@@ -821,34 +754,20 @@ impl SmtMachine {
         }
     }
 
-    /// Read the LSQ section past its context count and check it against
-    /// the decoded windows: each entry names a distinct memory op of its
-    /// thread's window that is past dispatch, with that op's address word
-    /// and store flag, in per-thread seq order, and no such op is left
-    /// out. Stamps the listed ops in section order and returns the LSQ's
-    /// length.
-    fn decode_lsq(
-        r: &mut ByteReader,
-        threads: &mut [ThreadCtx],
-        lsq_size: usize,
-    ) -> Result<usize, CodecError> {
+    /// Read the LSQ section past its context count: each entry must name
+    /// a memory op of its thread's window that is past dispatch, with
+    /// that op's address word and store flag. Stamps the listed ops in
+    /// section order and returns the LSQ's length; [`Self::validate`]
+    /// then checks the count and the per-thread dispatch order.
+    fn decode_lsq(r: &mut ByteReader, threads: &mut [ThreadCtx]) -> Result<usize, CodecError> {
         let invalid = |msg: String| Err(CodecError::Invalid(format!("LSQ {msg}")));
         let len = r.usize()?;
-        if len > lsq_size {
-            return invalid(format!("holds {len} entries, more than its {lsq_size}"));
-        }
-        let mut last_seq: Vec<Option<u64>> = vec![None; threads.len()];
         for stamp in 0..len {
             let (tid, seq, word, is_store) = (r.u8()?, r.u64()?, r.u64()?, r.bool()?);
             let Some(ctx) = threads.get_mut(tid as usize) else {
                 return invalid(format!("entry tid {tid} out of range"));
             };
             let tid = ctx.tid;
-            let last = &mut last_seq[tid.idx()];
-            if last.is_some_and(|s| s >= seq) {
-                return invalid(format!("entries of {tid} out of seq order at seq {seq}"));
-            }
-            *last = Some(seq);
             let Some(i) = find_seq(&ctx.window, seq) else {
                 return invalid(format!("entry {tid} seq {seq} is not in its window"));
             };
@@ -865,12 +784,6 @@ impl SmtMachine {
             }
             op.lsq_stamp = stamp as u32;
         }
-        let held: usize = threads.iter().map(ThreadCtx::lsq_entries).sum();
-        if held != len {
-            return invalid(format!(
-                "lists {len} entries, the windows hold {held} memory ops past dispatch"
-            ));
-        }
         Ok(len)
     }
 
@@ -878,9 +791,9 @@ impl SmtMachine {
     /// `pending` counters, IQ ready lists and positions, completion
     /// wheels) from the architecturally serialized state: windows, queues
     /// and `deps`. Used after decode, where every `base` is 0; `Clone`
-    /// preserves the state directly. `Err` for an executing op whose
-    /// deadline lies past the wheel.
-    fn rebuild_wake_state(&mut self) -> Result<(), CodecError> {
+    /// preserves the state directly. A deadline past the wheel links into
+    /// the wrong bucket, which [`Self::validate`] then reports.
+    fn rebuild_wake_state(&mut self) {
         let now = self.cycle;
         self.wake.clear();
         for ctx in &mut self.threads {
@@ -890,15 +803,8 @@ impl SmtMachine {
                 if let Stage::Executing { done_at } = ctx.window[i].stage {
                     // Between cycles an op issued last cycle with zero
                     // latency is due now, one cycle past its `done_at`.
-                    let due = done_at.max(now);
-                    if due - now >= ctx.calendar.buckets() as u64 {
-                        return Err(CodecError::Invalid(format!(
-                            "{} completes at {done_at}, past the completion wheel at cycle {now}",
-                            ctx.tid
-                        )));
-                    }
                     let slot = ctx.calendar.slot(ctx.pos(i));
-                    ctx.calendar.link(slot, due);
+                    ctx.calendar.link(slot, done_at.max(now));
                 }
             }
         }
@@ -915,8 +821,8 @@ impl SmtMachine {
             }
             for (slot, tid, seq, deps) in entries {
                 let ctx = &mut self.threads[tid.idx()];
-                // An entry with no window op would be corrupt; a position
-                // that never resolves keeps issue from acting on it.
+                // An entry with no window op is corrupt: its position never
+                // resolves, and `validate` rejects it.
                 let pos = find_seq(&ctx.window, seq).map_or(u32::MAX, |i| ctx.pos(i));
                 let oldest = ctx.window.front().map_or(u64::MAX, |f| f.seq);
                 let mut pending = 0u8;
@@ -950,7 +856,6 @@ impl SmtMachine {
                 }
             }
         }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -2636,65 +2541,146 @@ impl SmtMachine {
     }
 
     // ------------------------------------------------------------------
-    // invariant checking (tests and debug builds)
+    // invariant checking (tests and decode)
     // ------------------------------------------------------------------
 
-    /// Recompute every gauge from scratch and compare with the maintained
-    /// values; panics on divergence. O(window); called from tests.
+    /// Panic with [`Self::validate`]'s first violation. Tests call it
+    /// after every cycle.
     pub fn check_invariants(&self) {
-        let mut int_q = 0usize;
-        let mut fp_q = 0usize;
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
+    }
+
+    /// The one definition of a consistent machine: every gauge, count
+    /// and index the stages maintain agrees with a recount of the
+    /// windows, and the windows hold only what the stages could have
+    /// built. `Err` names the first violation. O(window); every decode
+    /// ends with it, and [`Self::check_invariants`] asserts it.
+    pub fn validate(&self) -> Result<(), String> {
+        let (mut int_held, mut fp_held, mut lsq, mut syscalls) = (0usize, 0usize, 0usize, 0usize);
         for ctx in &self.threads {
-            let mut int_q_t = 0usize;
-            let mut fp_q_t = 0usize;
-            let mut prev_seq: Option<u64> = None;
+            let tid = ctx.tid;
+            let (mut fe, mut int_q, mut fp_q, mut brs, mut lds, mut mems, mut dmiss) =
+                (0, 0, 0, 0, 0, 0, 0);
+            // Arch reg → the seq of its youngest writer in the window.
+            let mut writer = [None; 64];
+            let mut prev_seq = None;
             for op in &ctx.window {
-                if let Some(p) = prev_seq {
-                    assert!(op.seq > p, "window out of order for {}", ctx.tid);
+                let seq = op.seq;
+                ensure!(
+                    prev_seq.is_none_or(|p| seq > p),
+                    "window out of seq order on {tid} at seq {seq}"
+                );
+                prev_seq = Some(seq);
+                // The stages trust an op's kind to say which fields it
+                // carries (a load's `mem`, a branch's `branch`).
+                ensure!(
+                    op.uop.is_well_formed(),
+                    "{tid} seq {seq} is an ill-formed {:?} op",
+                    op.uop.kind
+                );
+                // Issue finds a load's D-miss.
+                let issued = matches!(op.stage, Stage::Executing { .. } | Stage::Done);
+                ensure!(
+                    !op.dmiss || (op.uop.kind == OpKind::Load && issued),
+                    "{tid} seq {seq} carries a D-miss as a {:?} op in {:?}",
+                    op.uop.kind,
+                    op.stage
+                );
+                match op.stage {
+                    Stage::FrontEnd { .. } => fe += 1,
+                    Stage::Queued if op.uop.kind.is_fp() => fp_q += 1,
+                    Stage::Queued => int_q += 1,
+                    Stage::Executing { .. } if op.dmiss => dmiss += 1,
+                    _ => {}
                 }
-                prev_seq = Some(op.seq);
-                if op.stage == Stage::Queued {
-                    if op.uop.kind.is_fp() {
-                        fp_q_t += 1;
-                    } else {
-                        int_q_t += 1;
-                    }
+                if !op.is_done() {
+                    brs += op.uop.is_cond_branch() as u32;
+                    lds += (op.uop.kind == OpKind::Load) as u32;
+                    mems += op.uop.kind.is_mem() as u32;
                 }
+                if let Some(d) = op.uop.dst {
+                    writer[d.flat()] = Some(seq);
+                    let held = match d.class {
+                        RegClass::Int => &mut int_held,
+                        RegClass::Fp => &mut fp_held,
+                    };
+                    *held += op.past_dispatch() as usize;
+                }
+                lsq += op.lsq_word().is_some() as usize;
+                syscalls += (op.uop.kind == OpKind::Syscall) as usize;
             }
-            int_q += int_q_t;
-            fp_q += fp_q_t;
-            if let Some((gauge, kept, counted)) = ctx.gauge_drift() {
-                panic!(
-                    "{gauge} gauge drift on {}: {kept} maintained, {counted} in the window",
-                    ctx.tid
+            ensure!(
+                prev_seq.is_none_or(|s| s < ctx.next_seq),
+                "{tid} next_seq {} is not above its youngest op's seq",
+                ctx.next_seq
+            );
+            // The stages decrement these gauges unchecked: drift would
+            // underflow.
+            let c = &ctx.counters;
+            for (gauge, kept, counted) in [
+                ("front_end_occ", c.front_end_occ, fe),
+                ("iq_occ", c.iq_occ, int_q + fp_q),
+                ("inflight_branches", c.inflight_branches, brs),
+                ("inflight_loads", c.inflight_loads, lds),
+                ("inflight_mem", c.inflight_mem, mems),
+                ("outstanding_dmiss", c.outstanding_dmiss, dmiss),
+            ] {
+                ensure!(
+                    kept == counted,
+                    "{gauge} gauge drift on {tid}: {kept} maintained, {counted} in the window"
                 );
             }
-            assert_eq!(
-                self.int_iq.thread_len(ctx.tid),
-                int_q_t,
-                "int IQ per-thread index drift on {}",
-                ctx.tid
-            );
-            assert_eq!(
-                self.fp_iq.thread_len(ctx.tid),
-                fp_q_t,
-                "fp IQ per-thread index drift on {}",
-                ctx.tid
-            );
+            // Fetch renames a source to its youngest older writer: one in
+            // the window, or one that has committed.
+            let oldest = ctx.window.front().map_or(ctx.next_seq, |op| op.seq);
+            for (r, (&named, &youngest)) in ctx.rename.iter().zip(&writer).enumerate() {
+                ensure!(
+                    youngest.map_or(named.is_none_or(|s| s < oldest), |w| named == Some(w)),
+                    "rename of reg {r} on {tid} names {named:?}, its youngest writer in the window {youngest:?}"
+                );
+            }
+            for (queue, name, queued) in [(&self.int_iq, "int", int_q), (&self.fp_iq, "fp", fp_q)] {
+                ensure!(
+                    queue.thread_len(tid) == queued as usize,
+                    "{name} IQ per-thread index drift on {tid}"
+                );
+            }
         }
-        assert_eq!(self.int_iq.len(), int_q, "int IQ ref-count drift");
-        assert_eq!(self.fp_iq.len(), fp_q, "fp IQ ref-count drift");
+        ensure!(self.int_iq.len() <= self.cfg.int_iq_size, "int IQ overflow");
+        ensure!(self.fp_iq.len() <= self.cfg.fp_iq_size, "fp IQ overflow");
+        // The queues check their own links and ready lists by panicking:
+        // a decode builds both through the queue's own operations, so
+        // only a stage bug can break them.
         self.int_iq.validate_ready(|d| d.pending == 0);
         self.fp_iq.validate_ready(|d| d.pending == 0);
-        assert!(self.int_iq.len() <= self.cfg.int_iq_size, "int IQ overflow");
-        assert!(self.fp_iq.len() <= self.cfg.fp_iq_size, "fp IQ overflow");
+        // A dispatched op with a destination holds a rename register
+        // until it commits or is squashed.
+        for (class, free, held, total) in [
+            ("int", self.free_int_regs, int_held, self.cfg.extra_phys_int),
+            ("fp", self.free_fp_regs, fp_held, self.cfg.extra_phys_fp),
+        ] {
+            ensure!(
+                free.checked_add(held) == Some(total),
+                "{class} reg count drift: {free} free and {held} held of {total}"
+            );
+        }
         // The LSQ count vs the windows, and the store filter vs every
         // store holding an entry: a store the filter does not cover is a
         // forward a load could miss. Per thread, the dispatch stamps rise
         // with seq, so the encoder's stamp order is dispatch order.
-        let lsq: usize = self.threads.iter().map(ThreadCtx::lsq_entries).sum();
-        assert_eq!(self.lsq_len, lsq, "LSQ count drift");
-        assert!(self.lsq_len <= self.cfg.lsq_size, "LSQ overflow");
+        ensure!(
+            self.lsq_len <= self.cfg.lsq_size,
+            "LSQ holds {} entries, more than its {}",
+            self.lsq_len,
+            self.cfg.lsq_size
+        );
+        ensure!(
+            self.lsq_len == lsq,
+            "LSQ count drift: {} kept, the windows hold {lsq} memory ops past dispatch",
+            self.lsq_len
+        );
         for ctx in &self.threads {
             let mut last_age = None;
             for op in &ctx.window {
@@ -2703,16 +2689,14 @@ impl SmtMachine {
                 };
                 // Were this store the window's oldest op, its slots must
                 // still send a load of its word to the scan.
-                if op.uop.kind == OpKind::Store {
-                    assert!(
-                        ctx.store_filter.may_hold(word, op.seq),
-                        "store filter misses {} seq {}",
-                        ctx.tid,
-                        op.seq
-                    );
-                }
+                ensure!(
+                    op.uop.kind != OpKind::Store || ctx.store_filter.may_hold(word, op.seq),
+                    "store filter misses {} seq {}",
+                    ctx.tid,
+                    op.seq
+                );
                 let age = self.lsq_stamp.wrapping_sub(op.lsq_stamp);
-                assert!(
+                ensure!(
                     last_age.is_none_or(|a| a > age) && age > 0,
                     "LSQ stamps out of dispatch order on {} seq {}",
                     ctx.tid,
@@ -2721,23 +2705,23 @@ impl SmtMachine {
                 last_age = Some(age);
             }
         }
-        assert!(
-            self.free_int_regs <= self.cfg.extra_phys_int,
-            "int reg over-free"
-        );
-        assert!(
-            self.free_fp_regs <= self.cfg.extra_phys_fp,
-            "fp reg over-free"
-        );
-        // Readiness tracking vs the search oracle: every queue entry's
-        // `pending` counter must equal the number of live, not-yet-done
-        // producers the reference binary search would find.
-        for queue in [&self.int_iq, &self.fp_iq] {
+        // Each queue entry names a queued op of its window, with that
+        // op's kind and producers; its `pending` counter equals the
+        // number of live, not-yet-done producers the reference binary
+        // search would find.
+        for (queue, is_fp) in [(&self.int_iq, false), (&self.fp_iq, true)] {
             let mut idx = queue.first();
             while idx != NIL {
                 let (tid, seq) = queue.key(idx);
                 let d = queue.payload(idx);
                 let ctx = &self.threads[tid.idx()];
+                ensure!(
+                    ctx.at(d.pos, seq).is_some_and(|i| {
+                        let op = &ctx.window[i];
+                        op.is_queued() && op.uop.kind == d.kind && op.deps == d.deps
+                    }) && d.kind.is_fp() == is_fp,
+                    "IQ entry {tid} seq {seq} names no queued op of its window"
+                );
                 let mut expect = 0u8;
                 if let Some(front) = ctx.window.front() {
                     for dep in d.deps.iter().copied().flatten() {
@@ -2751,13 +2735,12 @@ impl SmtMachine {
                         }
                     }
                 }
-                assert_eq!(
-                    d.pending, expect,
+                ensure!(
+                    d.pending == expect,
                     "pending counter drift on {tid} seq {seq}"
                 );
-                assert_eq!(
-                    d.pending == 0,
-                    Self::deps_ready(ctx, &d.deps),
+                ensure!(
+                    (d.pending == 0) == Self::deps_ready(ctx, &d.deps),
                     "pending disagrees with the search oracle on {tid} seq {seq}"
                 );
                 idx = queue.next_of(idx);
@@ -2773,31 +2756,30 @@ impl SmtMachine {
             let mut linked = ctx.calendar.entries();
             linked.sort_unstable();
             let mut executing = Vec::new();
-            let mut deadlines = Vec::new();
+            let mut earliest = u64::MAX;
             for (i, op) in ctx.window.iter().enumerate() {
                 if let Stage::Executing { done_at } = op.stage {
                     let due = done_at.max(now);
-                    assert!(
-                        done_at + 1 >= now && due - now < ctx.calendar.buckets() as u64,
+                    ensure!(
+                        now.saturating_sub(1) <= done_at
+                            && due - now < ctx.calendar.buckets() as u64,
                         "{} seq {} due at {done_at}: overdue or past the wheel at cycle {now}",
                         ctx.tid,
                         op.seq
                     );
                     let bucket = due as usize & (ctx.calendar.buckets() - 1);
                     executing.push((bucket, ctx.calendar.slot(ctx.pos(i))));
-                    deadlines.push(done_at);
+                    earliest = earliest.min(done_at);
                 }
             }
             executing.sort_unstable();
-            assert_eq!(linked, executing, "completion wheel drift on {}", ctx.tid);
-            if let Some(&earliest) = deadlines.iter().min() {
-                assert!(
-                    ctx.min_done_at <= earliest,
-                    "min_done_at {} above the earliest live deadline {earliest} on {}",
-                    ctx.min_done_at,
-                    ctx.tid
-                );
-            }
+            ensure!(linked == executing, "completion wheel drift on {}", ctx.tid);
+            ensure!(
+                ctx.min_done_at <= earliest,
+                "min_done_at {} above the earliest live deadline {earliest} on {}",
+                ctx.min_done_at,
+                ctx.tid
+            );
         }
         // The dispatch FIFO: each thread's entries, dead ones included,
         // in fetch (seq) order; every live entry names a front-end op or a
@@ -2807,7 +2789,7 @@ impl SmtMachine {
         let mut queued = vec![0usize; self.threads.len()];
         for e in &self.dispatch_fifo {
             let ti = e.tid.idx();
-            assert!(
+            ensure!(
                 last_seq[ti].is_none_or(|s| s < e.seq),
                 "dispatch FIFO out of seq order on {}",
                 e.tid
@@ -2818,7 +2800,7 @@ impl SmtMachine {
                 if op.uop.kind == OpKind::Syscall {
                     continue;
                 }
-                assert!(
+                ensure!(
                     op.in_front_end(),
                     "dispatch FIFO names {} seq {} past the front end",
                     e.tid,
@@ -2833,12 +2815,34 @@ impl SmtMachine {
                 .iter()
                 .filter(|op| op.in_front_end() && op.uop.kind != OpKind::Syscall)
                 .count();
-            assert_eq!(
-                n, front_end,
+            ensure!(
+                n == front_end,
                 "dispatch FIFO misses front-end ops of {}",
                 ctx.tid
             );
         }
+        // The drain: each pending entry names a syscall of its thread's
+        // window, in fetch order, and every syscall in a window is
+        // pending until it commits.
+        last_seq.fill(None);
+        for q in &self.pending_syscalls {
+            let ctx = &self.threads[q.tid.idx()];
+            let last = &mut last_seq[q.tid.idx()];
+            ensure!(
+                last.is_none_or(|s| s < q.seq)
+                    && find_seq(&ctx.window, q.seq)
+                        .is_some_and(|i| ctx.window[i].uop.kind == OpKind::Syscall),
+                "pending syscall {} seq {} names no syscall of its window",
+                q.tid,
+                q.seq
+            );
+            *last = Some(q.seq);
+        }
+        ensure!(
+            self.pending_syscalls.len() == syscalls,
+            "{} syscalls pending, the windows hold {syscalls}",
+            self.pending_syscalls.len()
+        );
         // Every allocated wake node sits on exactly one producer's chain.
         let mut chained = 0usize;
         for ctx in &self.threads {
@@ -2848,16 +2852,17 @@ impl SmtMachine {
                 while widx != NO_WAKE {
                     chained += 1;
                     steps += 1;
-                    assert!(steps <= self.wake.nodes.len(), "wake chain cycle");
+                    ensure!(steps <= self.wake.nodes.len(), "wake chain cycle");
                     widx = self.wake.nodes[widx as usize].next;
                 }
             }
         }
-        assert_eq!(
-            chained,
-            self.wake.live(),
-            "wake arena leak: chained nodes vs live allocations"
+        ensure!(
+            chained == self.wake.live(),
+            "wake arena leak: {chained} chained nodes, {} live allocations",
+            self.wake.live()
         );
+        Ok(())
     }
 }
 
@@ -2865,7 +2870,7 @@ impl SmtMachine {
 mod tests {
     use super::*;
     use crate::chooser::RoundRobin;
-    use smt_isa::AppProfile;
+    use smt_isa::{AppProfile, NUM_ARCH_REGS_PER_CLASS};
     use std::sync::Arc;
 
     fn stream(seed: u64, tid: usize) -> UopStream {
@@ -3408,10 +3413,19 @@ mod tests {
             + 1;
         let mut swapped = s.entries.clone();
         swapped.swap(0, later);
-        s.rejects(&swapped, "out of seq order");
+        // The younger op took the older one's stamp.
+        let (t, seq) = (Tid(first.0), s.entries[later].1);
+        s.rejects(
+            &swapped,
+            &format!("stamps out of dispatch order on {t} seq {seq}"),
+        );
         let mut duplicated = s.entries.clone();
         duplicated.insert(1, first);
-        s.rejects(&duplicated, "out of seq order");
+        let n = s.entries.len();
+        s.rejects(
+            &duplicated,
+            &format!("count drift: {} kept, the windows hold {n}", n + 1),
+        );
     }
 
     #[test]
@@ -3427,7 +3441,7 @@ mod tests {
         let n = s.entries.len();
         s.rejects(
             &s.entries[1..],
-            &format!("lists {} entries, the windows hold {n}", n - 1),
+            &format!("count drift: {} kept, the windows hold {n}", n - 1),
         );
         let over = vec![s.entries[0]; s.m.cfg.lsq_size + 1];
         s.rejects(&over, "more than its");
@@ -3456,6 +3470,195 @@ mod tests {
         match SmtMachine::decode_from(&mut ByteReader::new(&bytes)) {
             Err(CodecError::Invalid(msg)) => assert_eq!(msg, want),
             other => panic!("expected Invalid, got {:?}", other.map(|_| "a machine")),
+        }
+    }
+
+    #[test]
+    fn phantom_pending_syscall_is_an_error() {
+        // A drain entry that names no syscall holds fetch forever: the
+        // decoded machine would never commit again.
+        let mut m = machine(4, 5);
+        m.run(5_000, &mut RoundRobin);
+        while !m.pending_syscalls.is_empty() {
+            m.step(&mut RoundRobin);
+        }
+        let clean = payload(&m);
+        let seq = m.threads[0].next_seq + 1_000;
+        m.pending_syscalls.push_back(QRef { tid: Tid(0), seq });
+        let want = format!("pending syscall T0 seq {seq} names no syscall of its window");
+        match SmtMachine::decode_from(&mut ByteReader::new(&payload(&m))) {
+            Err(CodecError::Invalid(msg)) => assert_eq!(msg, want),
+            other => panic!("expected Invalid, got {:?}", other.map(|_| "a machine")),
+        }
+        assert!(SmtMachine::decode_from(&mut ByteReader::new(&clean)).is_ok());
+    }
+
+    /// The first live dispatch-FIFO entry naming a front-end op that is
+    /// not a syscall.
+    fn live_front_end_entry(m: &SmtMachine) -> Option<usize> {
+        m.dispatch_fifo.iter().position(|e| {
+            let ctx = &m.threads[e.tid.idx()];
+            ctx.at(e.pos, e.seq).is_some_and(|i| {
+                let op = &ctx.window[i];
+                op.in_front_end() && op.uop.kind != OpKind::Syscall
+            })
+        })
+    }
+
+    /// The first window op `pick` accepts.
+    fn op_where(m: &mut SmtMachine, pick: impl Fn(&InFlight) -> bool) -> &mut InFlight {
+        let mut ops = m.threads.iter_mut().flat_map(|ctx| ctx.window.iter_mut());
+        ops.find(|op| pick(op)).expect("a target op")
+    }
+
+    fn issued_non_load(op: &InFlight) -> bool {
+        op.uop.kind != OpKind::Load && op.past_dispatch() && !op.is_queued()
+    }
+
+    fn gauge(c: &mut ThreadCounters, k: usize) -> (&'static str, &mut u32) {
+        match k {
+            0 => ("front_end_occ", &mut c.front_end_occ),
+            1 => ("iq_occ", &mut c.iq_occ),
+            2 => ("inflight_branches", &mut c.inflight_branches),
+            3 => ("inflight_loads", &mut c.inflight_loads),
+            4 => ("inflight_mem", &mut c.inflight_mem),
+            _ => ("outstanding_dmiss", &mut c.outstanding_dmiss),
+        }
+    }
+
+    #[test]
+    fn each_mutation_is_rejected_or_runs_clean() {
+        // A warm machine with a target for every mutation below and no
+        // drain pending.
+        let mut warm = machine(4, 5);
+        warm.run(5_000, &mut RoundRobin);
+        let targets = |m: &SmtMachine| {
+            let mut ops = m.threads.iter().flat_map(|ctx| &ctx.window);
+            m.pending_syscalls.is_empty()
+                && m.free_int_regs > 0
+                && live_front_end_entry(m).is_some()
+                && ops.clone().any(|op| op.is_queued())
+                && ops.clone().any(issued_non_load)
+                && ops.any(|op| matches!(op.stage, Stage::Executing { .. }))
+        };
+        while !targets(&warm) {
+            warm.step(&mut RoundRobin);
+            assert!(warm.cycle() < 20_000, "no cycle holds every target");
+        }
+        type Mutation = (String, Box<dyn Fn(&mut SmtMachine)>);
+        let extra = warm.cfg.extra_phys_int;
+        let mut table: Vec<Mutation> = vec![
+            (
+                "free_int_regs - 1".into(),
+                Box::new(|m| m.free_int_regs -= 1),
+            ),
+            (
+                "free_int_regs + 1".into(),
+                Box::new(|m| m.free_int_regs += 1),
+            ),
+            (
+                "free_int_regs = 0".into(),
+                Box::new(|m| m.free_int_regs = 0),
+            ),
+            (
+                "free_int_regs = extra_phys_int + 1".into(),
+                Box::new(move |m| m.free_int_regs = extra + 1),
+            ),
+            (
+                "next_seq at the youngest seq".into(),
+                Box::new(|m| {
+                    let ctx = m.threads.iter_mut().find(|c| !c.window.is_empty());
+                    let ctx = ctx.expect("a thread with a window");
+                    ctx.next_seq = ctx.window.back().expect("an op").seq;
+                }),
+            ),
+            (
+                "rename past next_seq".into(),
+                Box::new(|m| {
+                    let ctx = &mut m.threads[0];
+                    ctx.rename[1] = Some(ctx.next_seq + 5);
+                }),
+            ),
+            (
+                "destination past the architectural file".into(),
+                Box::new(|m| {
+                    let op = op_where(m, |op| op.uop.dst.is_some());
+                    op.uop.dst.as_mut().expect("a destination").idx = NUM_ARCH_REGS_PER_CLASS;
+                }),
+            ),
+            (
+                "dmiss on a queued op".into(),
+                Box::new(|m| op_where(m, InFlight::is_queued).dmiss = true),
+            ),
+            (
+                "dmiss on a non-load".into(),
+                Box::new(|m| op_where(m, issued_non_load).dmiss = true),
+            ),
+            (
+                "phantom pending syscall".into(),
+                Box::new(|m| {
+                    let seq = m.threads[0].next_seq + 1_000;
+                    m.pending_syscalls.push_back(QRef { tid: Tid(0), seq });
+                }),
+            ),
+            (
+                "dropped live FIFO entry".into(),
+                Box::new(|m| {
+                    let i = live_front_end_entry(m).expect("a live entry");
+                    m.dispatch_fifo.remove(i);
+                }),
+            ),
+            (
+                "min_done_at above the earliest deadline".into(),
+                Box::new(|m| {
+                    for ctx in &mut m.threads {
+                        let deadlines = ctx.window.iter().filter_map(|op| match op.stage {
+                            Stage::Executing { done_at } => Some(done_at),
+                            _ => None,
+                        });
+                        if let Some(earliest) = deadlines.min() {
+                            ctx.min_done_at = earliest + 1;
+                            return;
+                        }
+                    }
+                }),
+            ),
+        ];
+        for k in 0..6 {
+            for (sign, delta) in [("+", 1u32), ("-", u32::MAX)] {
+                let name = gauge(&mut warm.threads[0].counters, k).0;
+                table.push((
+                    format!("{name} {sign}1"),
+                    Box::new(move |m| {
+                        let g = gauge(&mut m.threads[0].counters, k).1;
+                        *g = g.wrapping_add(delta);
+                    }),
+                ));
+            }
+        }
+        let clean = payload(&warm);
+        for (name, mutate) in &table {
+            let mut bad = warm.clone();
+            mutate(&mut bad);
+            let bytes = payload(&bad);
+            assert_ne!(bytes, clean, "{name}: the mutation changed no byte");
+            match SmtMachine::decode_from(&mut ByteReader::new(&bytes)) {
+                Err(CodecError::Invalid(_)) => {}
+                Err(e) => panic!("{name}: {e}"),
+                Ok(mut m) => {
+                    // Accepted: then it must run clean, every thread
+                    // committing.
+                    let before: Vec<u64> = (0..4).map(|t| m.counters(Tid(t)).committed).collect();
+                    for _ in 0..2_000 {
+                        m.step(&mut RoundRobin);
+                        m.check_invariants();
+                    }
+                    for (t, &b) in before.iter().enumerate() {
+                        let after = m.counters(Tid(t as u8)).committed;
+                        assert!(after > b, "{name}: decoded, then T{t} committed nothing");
+                    }
+                }
+            }
         }
     }
 

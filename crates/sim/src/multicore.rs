@@ -27,7 +27,7 @@
 
 use crate::cache::Cache;
 use crate::chooser::FetchChooser;
-use crate::config::MAX_LATENCY;
+use crate::config::{CacheGeometry, MAX_LATENCY};
 use crate::counters::{CounterSnapshot, ThreadCounters};
 use crate::machine::{MigratedThread, SmtMachine};
 use smt_isa::codec::{fnv1a_64, ByteReader, ByteWriter, CodecError};
@@ -72,22 +72,9 @@ impl MultiCoreMachine {
             !cores.is_empty(),
             "MultiCoreMachine needs at least one core"
         );
-        assert!(
-            migration_penalty <= MAX_LATENCY,
-            "migration penalty {migration_penalty} exceeds the {MAX_LATENCY}-cycle maximum"
-        );
         let geom = cores[0].config().l2;
-        for core in &cores[1..] {
-            assert_eq!(core.config().l2, geom, "cores disagree on L2 geometry");
-        }
-        let mut occupied: Vec<Vec<bool>> =
-            cores.iter().map(|c| vec![false; c.n_threads()]).collect();
-        for &(c, s) in &placement {
-            assert!(c < cores.len(), "placement core {c} out of range");
-            assert!(s < cores[c].n_threads(), "placement slot {s} out of range");
-            assert!(!occupied[c][s], "slot ({c},{s}) doubly assigned");
-            occupied[c][s] = true;
-        }
+        let occupied = check_topology(&cores, geom, &placement, migration_penalty)
+            .unwrap_or_else(|e| panic!("{e}"));
         for (c, core) in cores.iter_mut().enumerate() {
             for (s, &occ) in occupied[c].iter().enumerate() {
                 if !occ {
@@ -320,12 +307,64 @@ impl MultiCoreMachine {
         (self.shared_l2.accesses, self.shared_l2.misses)
     }
 
-    /// Recompute every core's gauges from scratch (test support).
+    /// The one definition of a consistent multi-core machine: the
+    /// topology [`Self::from_cores`] panics on, then every core's
+    /// [`SmtMachine::validate`]. `Err` names the first violation.
+    pub fn validate(&self) -> Result<(), String> {
+        let l2 = self.shared_l2.geometry();
+        check_topology(&self.cores, l2, &self.placement, self.migration_penalty)?;
+        for (i, core) in self.cores.iter().enumerate() {
+            core.validate().map_err(|e| format!("core {i}: {e}"))?;
+        }
+        Ok(())
+    }
+
+    /// Panic with [`Self::validate`]'s first violation (test support).
     pub fn check_invariants(&self) {
-        for core in &self.cores {
-            core.check_invariants();
+        if let Err(e) = self.validate() {
+            panic!("{e}");
         }
     }
+}
+
+/// The topology every multi-core machine keeps: a migration penalty of
+/// at most [`MAX_LATENCY`], every core's config and hierarchy on `l2`,
+/// the shared L2's geometry (each core's completion wheel, sized from its
+/// own hierarchy, must cover the shared L2's latency), and each placement
+/// entry naming a distinct slot of a core. Returns each core's slot
+/// occupancy; `Err` names the first violation.
+fn check_topology(
+    cores: &[SmtMachine],
+    l2: CacheGeometry,
+    placement: &[(usize, usize)],
+    penalty: u64,
+) -> Result<Vec<Vec<bool>>, String> {
+    if penalty > MAX_LATENCY {
+        return Err(format!(
+            "migration penalty {penalty} exceeds the {MAX_LATENCY}-cycle maximum"
+        ));
+    }
+    if let Some(c) = cores
+        .iter()
+        .position(|c| c.config().l2 != l2 || c.mem.l2.geometry() != l2)
+    {
+        return Err(format!(
+            "core {c}'s L2 geometry disagrees with the shared L2"
+        ));
+    }
+    let mut occupied: Vec<Vec<bool>> = cores.iter().map(|c| vec![false; c.n_threads()]).collect();
+    for &(c, s) in placement {
+        match occupied.get_mut(c).and_then(|slots| slots.get_mut(s)) {
+            None => {
+                return Err(format!(
+                    "placement names core {c} slot {s}, past the machine"
+                ))
+            }
+            Some(true) => return Err(format!("slot ({c},{s}) doubly assigned")),
+            Some(free) => *free = true,
+        }
+    }
+    Ok(occupied)
 }
 
 impl crate::batch::LockstepMachine for MultiCoreMachine {}
@@ -493,11 +532,6 @@ impl MultiCoreSnapshot {
             placement.push((tr.u32()? as usize, tr.u32()? as usize));
         }
         let migration_penalty = tr.u64()?;
-        if migration_penalty > MAX_LATENCY {
-            return Err(CodecError::Invalid(format!(
-                "migration penalty {migration_penalty} exceeds the {MAX_LATENCY}-cycle maximum"
-            )));
-        }
         let mut migrations = Vec::with_capacity(n_threads.min(tr.remaining()));
         for _ in 0..n_threads {
             migrations.push(tr.u64()?);
@@ -505,38 +539,9 @@ impl MultiCoreSnapshot {
         let shared_l2 = Cache::decode_from(&mut tr)?;
         tr.finish()?;
 
-        let mut occupied: Vec<Vec<bool>> =
-            cores.iter().map(|c| vec![false; c.n_threads()]).collect();
-        for &(c, s) in &placement {
-            if c >= n_cores {
-                return Err(CodecError::Invalid(format!(
-                    "placement names core {c} but container has {n_cores}"
-                )));
-            }
-            if s >= cores[c].n_threads() {
-                return Err(CodecError::Invalid(format!(
-                    "placement slot {s} exceeds core {c}'s {} contexts",
-                    cores[c].n_threads()
-                )));
-            }
-            if occupied[c][s] {
-                return Err(CodecError::Invalid(format!(
-                    "slot ({c},{s}) doubly assigned in topology"
-                )));
-            }
-            occupied[c][s] = true;
-        }
-        // Every core runs on the shared L2, so each core's completion
-        // wheel, sized from its own hierarchy, must cover its latency.
-        for core in &cores {
-            if shared_l2.geometry() != core.config().l2
-                || shared_l2.geometry() != core.mem.l2.geometry()
-            {
-                return Err(CodecError::Invalid(
-                    "shared L2 geometry disagrees with core config".into(),
-                ));
-            }
-        }
+        // Each core passed its own `validate` in its decode.
+        check_topology(&cores, shared_l2.geometry(), &placement, migration_penalty)
+            .map_err(CodecError::Invalid)?;
         for (c, core) in cores.iter_mut().enumerate() {
             core.set_l2_rot(c as u8);
             core.mem.l2 = Cache::detached(shared_l2.geometry());
