@@ -25,10 +25,10 @@ pub struct Cache {
     geom: CacheGeometry,
     sets: usize,
     line_shift: u32,
-    /// `tags[set * ways + way]`; `u64::MAX` = invalid.
-    tags: Vec<u64>,
-    /// Last-use stamps parallel to `tags` (monotone counter, not cycles).
-    stamps: Vec<u64>,
+    /// `(tag, stamp)` of each way, at `lines[set * ways + way]`, so a
+    /// probe reads one line of its set: the tag (`u64::MAX` = invalid)
+    /// and its last-use stamp (a monotone counter, not cycles).
+    lines: Vec<(u64, u64)>,
     tick: u64,
     /// Statistics.
     pub accesses: u64,
@@ -42,8 +42,7 @@ impl Cache {
             geom,
             sets,
             line_shift: geom.line_bytes.trailing_zeros(),
-            tags: vec![u64::MAX; sets * geom.ways],
-            stamps: vec![0; sets * geom.ways],
+            lines: vec![(u64::MAX, 0); sets * geom.ways],
             tick: 0,
             accesses: 0,
             misses: 0,
@@ -59,8 +58,7 @@ impl Cache {
             geom,
             sets: geom.sets(),
             line_shift: geom.line_bytes.trailing_zeros(),
-            tags: Vec::new(),
-            stamps: Vec::new(),
+            lines: Vec::new(),
             tick: 0,
             accesses: 0,
             misses: 0,
@@ -70,7 +68,7 @@ impl Cache {
     /// Whether this is a [`Cache::detached`] stand-in (a real cache
     /// always has at least one line).
     pub(crate) fn is_detached(&self) -> bool {
-        self.tags.is_empty()
+        self.lines.is_empty()
     }
 
     #[inline]
@@ -88,7 +86,9 @@ impl Cache {
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
         let base = set * self.geom.ways;
-        self.tags[base..base + self.geom.ways].contains(&tag)
+        self.lines[base..base + self.geom.ways]
+            .iter()
+            .any(|&(t, _)| t == tag)
     }
 
     /// Access `addr`: returns `true` on hit. On miss the line is allocated,
@@ -99,24 +99,18 @@ impl Cache {
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
         let base = set * self.geom.ways;
-        let ways = &mut self.tags[base..base + self.geom.ways];
-        if let Some(w) = ways.iter().position(|&t| t == tag) {
-            self.stamps[base + w] = self.tick;
+        let ways = &mut self.lines[base..base + self.geom.ways];
+        if let Some(line) = ways.iter_mut().find(|(t, _)| *t == tag) {
+            line.1 = self.tick;
             return true;
         }
         self.misses += 1;
-        // Evict LRU (or an invalid way).
-        let lru = (0..self.geom.ways)
-            .min_by_key(|&w| {
-                if self.tags[base + w] == u64::MAX {
-                    0
-                } else {
-                    self.stamps[base + w]
-                }
-            })
+        // Evict LRU (or an invalid way): the first way of least key.
+        let lru = ways
+            .iter_mut()
+            .min_by_key(|(t, stamp)| if *t == u64::MAX { 0 } else { *stamp })
             .expect("ways > 0");
-        self.tags[base + lru] = tag;
-        self.stamps[base + lru] = self.tick;
+        *lru = (tag, self.tick);
         false
     }
 
@@ -134,15 +128,22 @@ impl Cache {
     }
 
     /// Serialize the full cache state (tags, LRU stamps, statistics) for
-    /// checkpointing. Exact: a decoded cache hits, misses and evicts
-    /// identically to the original.
+    /// checkpointing: every tag, then every stamp, each as a
+    /// length-prefixed `u64` list. Exact: a decoded cache hits, misses and
+    /// evicts identically to the original.
     pub(crate) fn encode_into(&self, w: &mut ByteWriter) {
         if self.is_detached() {
             return Cache::new(self.geom).encode_into(w);
         }
         codec::encode_json(w, &self.geom);
-        self.tags.encode(w);
-        self.stamps.encode(w);
+        w.usize(self.lines.len());
+        for &(tag, _) in &self.lines {
+            w.u64(tag);
+        }
+        w.usize(self.lines.len());
+        for &(_, stamp) in &self.lines {
+            w.u64(stamp);
+        }
         w.u64(self.tick);
         w.u64(self.accesses);
         w.u64(self.misses);
@@ -152,7 +153,7 @@ impl Cache {
     pub(crate) fn decode_from(r: &mut ByteReader) -> Result<Self, CodecError> {
         let geom: CacheGeometry = codec::decode_json(r)?;
         let sets = geom.sets();
-        let tags = Vec::decode(r)?;
+        let tags: Vec<u64> = Vec::decode(r)?;
         let stamps: Vec<u64> = Vec::decode(r)?;
         if tags.len() != sets * geom.ways || stamps.len() != tags.len() {
             return Err(CodecError::Invalid(
@@ -163,8 +164,7 @@ impl Cache {
             geom,
             sets,
             line_shift: geom.line_bytes.trailing_zeros(),
-            tags,
-            stamps,
+            lines: tags.into_iter().zip(stamps).collect(),
             tick: r.u64()?,
             accesses: r.u64()?,
             misses: r.u64()?,

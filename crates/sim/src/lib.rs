@@ -59,6 +59,6 @@ pub use multicore::{MultiCoreMachine, MultiCoreSnapshot, MC_FORMAT_VERSION};
 pub use obs::{
     merge_attr_snapshots, AttrSnapshot, CommitCause, EventRing, FetchCause, IssueCause,
     MetricsRegistry, MetricsSnapshot, MigrationArrow, MultiCoreSampler, PipelineSampler,
-    SlotAttribution, SlotStack,
+    SlotAttribution, SlotStack, StageProfile,
 };
 pub use trace::{MissLevel, TraceBuffer, TraceEvent};

@@ -34,6 +34,7 @@ use crate::inflight::{
 };
 use crate::iqueue::{IndexedQueue, NIL};
 use crate::obs::attr::{CommitCause, FetchCause, IssueCause, SlotAttribution};
+use crate::obs::profile::{StageClock, StageProfile, PROFILE_PERIOD};
 use crate::trace::{MissLevel, TraceBuffer, TraceEvent};
 use crate::wrongpath::WrongPathGen;
 use smt_isa::codec::{self, ByteReader, ByteWriter, Codec, CodecError};
@@ -301,6 +302,9 @@ impl ThreadCtx {
         let tid = Tid(r.u8()?);
         let stream = UopStream::decode_state(r)?;
         let wp_gen = WrongPathGen::decode_from(r)?;
+        wp_gen
+            .check_for(stream.addr_base(), stream.profile().data_ws_bytes)
+            .map_err(|e| CodecError::Invalid(format!("{tid}: {e}")))?;
         let n = r.usize()?;
         if n > cfg.rob_per_thread {
             return Err(CodecError::Invalid(format!(
@@ -455,6 +459,9 @@ pub struct SmtMachine {
     /// Optional slot-loss attribution (None = disabled; boxed so the
     /// untraced machine stays small and `Clone` stays cheap).
     attr: Option<Box<SlotAttribution>>,
+    /// Optional sampled stage profile (None = off: the machine steps the
+    /// monomorphization that reads no clock). Never serialized.
+    profile: Option<Box<StageProfile>>,
     /// This core's position in a multi-core shared-L2 arbitration
     /// rotation (0 standalone). Pure trace context — stamped onto
     /// [`TraceEvent::CacheMiss`] events, never serialized, never read by
@@ -542,6 +549,7 @@ impl SmtMachine {
             squash_buf: Vec::new(),
             trace: None,
             attr: None,
+            profile: None,
             l2_rot: 0,
             dispatch_fifo: VecDeque::with_capacity(64),
             wake: WakeArena::default(),
@@ -696,6 +704,7 @@ impl SmtMachine {
             squash_buf: Vec::new(),
             trace: None,
             attr: None,
+            profile: None,
             l2_rot: 0,
             wake: WakeArena::default(),
             due_buf: Vec::new(),
@@ -955,6 +964,18 @@ impl SmtMachine {
         self.attr.as_deref()
     }
 
+    /// Start the sampled stage profile ([`StageProfile`]), from zero.
+    /// Stepping then reads the clock one cycle in [`PROFILE_PERIOD`];
+    /// simulated behavior is unchanged.
+    pub fn enable_profile(&mut self) {
+        self.profile = Some(Box::new(StageProfile::calibrated()));
+    }
+
+    /// Stop the stage profile, returning its readings (if it was on).
+    pub fn disable_profile(&mut self) -> Option<StageProfile> {
+        self.profile.take().map(|b| *b)
+    }
+
     /// Set this core's shared-L2 arbitration-rotation position (trace
     /// context only; see the `l2_rot` field). [`crate::MultiCoreMachine`]
     /// stamps each core with its rotation index at assembly.
@@ -1068,47 +1089,69 @@ impl SmtMachine {
 
     /// Advance one cycle under the given fetch policy.
     pub fn step<C: FetchChooser>(&mut self, chooser: &mut C) {
-        if self.instrumented() {
-            self.step_impl::<C, true>(chooser);
-        } else {
-            self.step_impl::<C, false>(chooser);
+        match (self.instrumented(), self.profile.is_some()) {
+            (false, false) => self.step_impl::<C, false, false>(chooser),
+            (true, false) => self.step_impl::<C, true, false>(chooser),
+            (false, true) => self.step_impl::<C, false, true>(chooser),
+            (true, true) => self.step_impl::<C, true, true>(chooser),
         }
     }
 
     /// Run `cycles` cycles, one [`Self::step`] each. The instrumentation
-    /// check is hoisted out of the loop: with tracing and attribution off
-    /// (every sweep and bench) the whole quantum runs in the
-    /// uninstrumented monomorphization, with no per-event branches
-    /// anywhere in the pipeline.
+    /// and profile checks are hoisted out of the loop: with tracing,
+    /// attribution and the profile off (every sweep and bench) the whole
+    /// quantum runs in the bare monomorphization, with no per-event
+    /// branches anywhere in the pipeline and no clock reads.
     pub fn run<C: FetchChooser>(&mut self, cycles: u64, chooser: &mut C) {
-        if self.instrumented() {
-            self.run_impl::<C, true>(cycles, chooser);
-        } else {
-            self.run_impl::<C, false>(cycles, chooser);
+        match (self.instrumented(), self.profile.is_some()) {
+            (false, false) => self.run_impl::<C, false, false>(cycles, chooser),
+            (true, false) => self.run_impl::<C, true, false>(cycles, chooser),
+            (false, true) => self.run_impl::<C, false, true>(cycles, chooser),
+            (true, true) => self.run_impl::<C, true, true>(cycles, chooser),
         }
     }
 
-    fn run_impl<C: FetchChooser, const TRACE: bool>(&mut self, cycles: u64, chooser: &mut C) {
+    fn run_impl<C: FetchChooser, const TRACE: bool, const PROFILE: bool>(
+        &mut self,
+        cycles: u64,
+        chooser: &mut C,
+    ) {
         for _ in 0..cycles {
-            self.step_impl::<C, TRACE>(chooser);
+            self.step_impl::<C, TRACE, PROFILE>(chooser);
         }
     }
 
     /// One cycle, monomorphized on whether any instrumentation (event
-    /// trace or slot attribution) is live. `TRACE` must match
-    /// [`Self::instrumented`]; `step`/`run` guarantee it. Every trace
+    /// trace or slot attribution) is live and on whether the stage
+    /// profile is. `TRACE` must match [`Self::instrumented`] and `PROFILE`
+    /// the profile's presence; `step`/`run` guarantee both. Every trace
     /// emission site still checks `self.trace`, and every attribution hook
     /// checks `self.attr`, so either can be on without the other.
-    fn step_impl<C: FetchChooser, const TRACE: bool>(&mut self, chooser: &mut C) {
+    fn step_impl<C: FetchChooser, const TRACE: bool, const PROFILE: bool>(
+        &mut self,
+        chooser: &mut C,
+    ) {
         debug_assert_eq!(TRACE, self.instrumented());
+        debug_assert_eq!(PROFILE, self.profile.is_some());
         if TRACE {
             self.attr_begin_cycle();
         }
+        let mut clock = StageClock::start(PROFILE && self.cycle.is_multiple_of(PROFILE_PERIOD));
         self.complete::<TRACE>();
+        clock.lap();
         self.commit::<TRACE>();
+        clock.lap();
         self.issue::<TRACE>();
+        clock.lap();
         self.dispatch::<TRACE>();
-        self.fetch::<C, TRACE>(chooser);
+        clock.lap();
+        self.fetch::<C, TRACE, PROFILE>(chooser, &mut clock);
+        clock.lap();
+        if PROFILE {
+            if let Some(profile) = self.profile.as_deref_mut() {
+                clock.record(profile);
+            }
+        }
         self.end_cycle();
     }
 
@@ -1920,7 +1963,11 @@ impl SmtMachine {
     // stage 5: fetch
     // ------------------------------------------------------------------
 
-    fn fetch<C: FetchChooser, const TRACE: bool>(&mut self, chooser: &mut C) {
+    fn fetch<C: FetchChooser, const TRACE: bool, const PROFILE: bool>(
+        &mut self,
+        chooser: &mut C,
+        clock: &mut StageClock,
+    ) {
         let now = self.cycle;
         let drain = !self.pending_syscalls.is_empty();
         // One pass over the threads: a willing thread that cannot fetch
@@ -1954,7 +2001,7 @@ impl SmtMachine {
             if remaining == 0 {
                 break;
             }
-            remaining -= self.fetch_thread::<TRACE>(v.tid, remaining);
+            remaining -= self.fetch_thread::<TRACE, PROFILE>(v.tid, remaining, clock);
         }
         self.view_buf = views;
         if TRACE {
@@ -1963,7 +2010,14 @@ impl SmtMachine {
     }
 
     /// Fetch up to `budget` ops from `tid`; returns how many were fetched.
-    fn fetch_thread<const TRACE: bool>(&mut self, tid: Tid, budget: usize) -> usize {
+    /// In a timed cycle of the profile, `clock` times each correct-path
+    /// generation.
+    fn fetch_thread<const TRACE: bool, const PROFILE: bool>(
+        &mut self,
+        tid: Tid,
+        budget: usize,
+        clock: &mut StageClock,
+    ) -> usize {
         let now = self.cycle;
         // `line_bytes` is a validated power of two.
         let line_shift = self.cfg.l1i.line_bytes.trailing_zeros();
@@ -2036,6 +2090,8 @@ impl SmtMachine {
                 let op = ctx.wp_gen.next(ctx.wp_pc);
                 ctx.wp_pc += 4;
                 op
+            } else if PROFILE && clock.timed() {
+                clock.time_gen(|| ctx.stream.next_uop())
             } else {
                 ctx.stream.next_uop()
             };
@@ -3660,6 +3716,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_wrong_path_generator_must_fit_its_stream() {
+        let mut warm = machine(4, 5);
+        warm.run(2_000, &mut RoundRobin);
+        let stream = &warm.threads[2].stream;
+        let (base, ws) = (stream.addr_base(), stream.profile().data_ws_bytes);
+        let other_ws = if ws > 1 << 16 { 64 } else { 1 << 30 };
+        let decode_with = |gen: WrongPathGen| {
+            let mut m = warm.clone();
+            m.threads[2].wp_gen = gen;
+            SmtMachine::decode_from(&mut ByteReader::new(&payload(&m)))
+        };
+        for (field, gen) in [
+            ("addr_base", WrongPathGen::new(7, base ^ (1 << 44), ws)),
+            ("ws_mask", WrongPathGen::new(7, base, other_ws)),
+        ] {
+            match decode_with(gen) {
+                Err(CodecError::Invalid(msg)) => {
+                    assert!(msg.contains(field) && msg.contains("T2"), "{msg}")
+                }
+                other => panic!("{field}: {other:?}"),
+            }
+        }
+        // Any seed fits: `replace_thread` and `migrate_in` derive one from
+        // the stream position.
+        assert!(decode_with(WrongPathGen::new(9, base, ws)).is_ok());
     }
 
     #[test]

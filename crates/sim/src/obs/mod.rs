@@ -19,11 +19,15 @@
 //! - [`attr`] — slot-accounting attribution ([`SlotAttribution`]): every
 //!   fetch/issue/commit slot classified as used or lost-to-a-cause into
 //!   per-thread CPI stacks, behind the same `const TRACE` gate;
+//! - [`profile`] — [`StageProfile`]: host time per pipeline stage, read
+//!   one cycle in [`PROFILE_PERIOD`] behind a `const PROFILE`
+//!   monomorphization that the bare machine never steps;
 //! - [`export`] — JSONL, Chrome `trace_event` and Prometheus text dumps.
 
 pub mod attr;
 pub mod export;
 pub mod metrics;
+pub mod profile;
 pub mod ring;
 pub mod sampler;
 
@@ -33,5 +37,6 @@ pub use attr::{
 };
 pub use export::MigrationArrow;
 pub use metrics::{CounterId, HistId, MetricsRegistry, MetricsSnapshot};
+pub use profile::{StageProfile, PROFILE_PERIOD};
 pub use ring::EventRing;
 pub use sampler::{MultiCoreSampler, PipelineSampler};

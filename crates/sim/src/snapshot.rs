@@ -58,13 +58,14 @@ pub struct MachineSnapshot {
 
 impl MachineSnapshot {
     /// Capture `machine`'s complete simulated state. Instrumentation
-    /// (event trace, slot attribution) is not part of the snapshot: the
-    /// restored machine starts with both disabled, exactly like a machine
-    /// that was never instrumented.
+    /// (event trace, slot attribution, stage profile) is not part of the
+    /// snapshot: the restored machine starts with all three disabled,
+    /// exactly like a machine that was never instrumented.
     pub fn capture(machine: &SmtMachine) -> Self {
         let mut state = machine.clone();
         state.disable_trace();
         state.disable_attr();
+        state.disable_profile();
         MachineSnapshot { state }
     }
 

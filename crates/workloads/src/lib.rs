@@ -30,6 +30,6 @@ pub mod trace;
 pub use apps::{app, app_names, APP_COUNT};
 pub use mixes::{mix, mix_names, thread_addr_base, Mix, MIX_COUNT};
 pub use mixgen::{generate as generate_mix, generate_many as generate_mixes, MixConstraints};
-pub use seed::SplitMix64;
+pub use seed::{unit_bound, SplitMix64};
 pub use stream::{SynthStream, UopStream};
 pub use trace::{streams_from_trace, TraceStream};

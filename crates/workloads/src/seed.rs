@@ -35,7 +35,14 @@ impl SplitMix64 {
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
         // 53 high-quality mantissa bits.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        self.next_u53() as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// The 53-bit draw `m` behind [`next_f64`](Self::next_f64), which
+    /// returns `m·2⁻⁵³`: compare it against a [`unit_bound`].
+    #[inline]
+    pub fn next_u53(&mut self) -> u64 {
+        self.next_u64() >> 11
     }
 
     /// Uniform value in `0..bound` (bound > 0), via Lemire reduction.
@@ -63,6 +70,30 @@ impl SplitMix64 {
     pub fn derive(root: u64, label: u64) -> u64 {
         let mut s = SplitMix64::new(root ^ label.wrapping_mul(0xA24B_AED4_963E_E407));
         s.next_u64()
+    }
+}
+
+/// The exact integer form of a uniform-draw comparison. The generators
+/// draw `u = m·2⁻⁵³` for a 53-bit `m` ([`SplitMix64::next_f64`], and
+/// `Rng::gen::<f64>` of the vendored `rand`), and `u < p` holds exactly when
+/// `m < unit_bound(p)`. The bound is ⌈p·2⁵³⌉, which is exact because scaling
+/// by 2⁵³ is: 0 for `p ≤ 0` or NaN (no draw passes), saturated for `p`
+/// far above 1 (every draw does).
+pub const fn unit_bound(p: f64) -> u64 {
+    let x = p * (1u64 << 53) as f64;
+    if x.is_nan() || x <= 0.0 {
+        0
+    } else if x >= 18_446_744_073_709_551_616.0 {
+        u64::MAX
+    } else {
+        // `x as u64` truncates: below 2⁵³ it is ⌊x⌋, above it `x` is
+        // already an integer.
+        let t = x as u64;
+        if (t as f64) < x {
+            t + 1
+        } else {
+            t
+        }
     }
 }
 

@@ -29,7 +29,7 @@
 //! microtest's script, replays through the trace backend
 //! ([`UopStream::scripted`]), the one cyclic replayer.
 
-use crate::seed::SplitMix64;
+use crate::seed::{unit_bound, SplitMix64};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use smt_isa::codec::{self, ByteReader, ByteWriter, Codec, CodecError};
@@ -48,14 +48,19 @@ const MAX_DEP_DIST: usize = 20;
 /// geometric law with `ln_q` = ln(1 − p): 1 + ⌊ln u / ln q⌋, or `None`
 /// (an independent operand) past [`MAX_DEP_DIST`]. A draw of exactly 0
 /// has ln u = −∞, an infinite distance, so it is independent too.
+///
+/// `x` = ln u / ln q is never negative (ln u ≤ 0 and ln q < 0) and never
+/// NaN (ln q is finite), so `x < MAX` and `x as usize` are exact stand-ins
+/// for ⌊x⌋ < MAX and ⌊x⌋: no `floor`, which baseline x86-64 compiles to a
+/// library call.
+#[inline]
 fn dep_distance(u: f64, ln_q: f64) -> Option<usize> {
-    let k = (u.ln() / ln_q).floor();
-    // `k as usize` saturates, so compare before converting: +∞ and every
-    // k past the cap are independent.
-    if k >= MAX_DEP_DIST as f64 {
-        return None;
+    let x = u.ln() / ln_q;
+    if x < MAX_DEP_DIST as f64 {
+        Some(1 + x as usize)
+    } else {
+        None
     }
-    Some(1 + k as usize)
 }
 
 /// Code region instruction slot size (bytes per op).
@@ -67,8 +72,25 @@ const COLD_REGION_BYTES: u64 = 64 << 20;
 /// Maximum shadow call-stack depth tracked for return targets.
 const CALL_STACK_MAX: usize = 16;
 
+/// Hot function entry points per stream.
+const HOT_ENTRIES: usize = 12;
+
+/// Hot entries sit on 64-op (256-byte) boundaries of the code region.
+const HOT_ENTRY_ALIGN: u64 = 64 * OP_BYTES;
+
 /// Trip counts the generator draws for loop-style branch sites.
 const LOOP_TRIPS: RangeInclusive<u8> = 4..=32;
+
+/// The generator's fixed probabilities, as [`unit_bound`]s of its 53-bit
+/// draws: a conditional branch tests the last load's result, a jump is a
+/// call (then a return), a call goes to a hot entry, a conditional branch
+/// jumps back, and a random access stays in the hot subset.
+const TEST_LAST_LOAD: u64 = unit_bound(0.5);
+const CALL: u64 = unit_bound(0.35);
+const RETURN: u64 = unit_bound(0.70);
+const HOT_CALL: u64 = unit_bound(0.85);
+const BACKWARD: u64 = unit_bound(0.6);
+const HOT_ACCESS: u64 = unit_bound(0.8);
 
 /// Per-site branch personality, derived deterministically from the stream
 /// seed and the site index, so it is stable across clones and replays.
@@ -137,6 +159,110 @@ impl Codec for BranchSite {
     }
 }
 
+/// The sizes [`SynthStream::new`] derives from a profile. Each is a power
+/// of two, so the generator wraps every cursor and offset with a mask.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Layout {
+    code_size: u64,
+    /// Branch sites: one per instruction slot, from 16 to 16,384.
+    n_sites: usize,
+    ws_size: u64,
+    ws_hot_size: u64,
+    stride_span: u64,
+}
+
+impl Layout {
+    /// `None` when a footprint has no power of two above it in a `u64`.
+    fn of(profile: &AppProfile) -> Option<Layout> {
+        let code_size = profile.code_bytes.max(64).checked_next_power_of_two()?;
+        let ws_size = profile.data_ws_bytes.max(64).checked_next_power_of_two()?;
+        Some(Layout {
+            code_size,
+            // Apps with very large code footprints alias sites, which
+            // (realistically) hurts their predictability a little.
+            n_sites: ((code_size / OP_BYTES).max(16) as usize).min(16_384),
+            ws_size,
+            // Two-level locality: an 80/20 hot subset for random accesses.
+            ws_hot_size: (ws_size / 32).clamp(2 << 10, 8 << 10).min(ws_size),
+            // Real inner loops re-walk bounded arrays, not the footprint.
+            stride_span: (ws_size / 8).clamp(4 << 10, 64 << 10).min(ws_size),
+        })
+    }
+}
+
+/// Every probability one phase of a stream compares a draw against, as
+/// the exact bound of its 53-bit draw ([`unit_bound`]), plus the
+/// dependence-distance log. A pure function of the profile and the phase
+/// index: transient (never serialized), rebuilt at each phase change and
+/// on decode, so the per-op path derives nothing.
+#[derive(Clone, Copy, Debug)]
+struct PhaseBounds {
+    /// The op-kind cascade's cumulative bounds, compared in this order.
+    syscall: u64,
+    cond_branch: u64,
+    jump: u64,
+    load: u64,
+    store: u64,
+    /// A conditional branch follows its site unless the draw passes this
+    /// bound; `None` when the phase is fully predictable (no draw).
+    predictable: Option<u64>,
+    branch_bias: u64,
+    cold: u64,
+    stride: u64,
+    fp: u64,
+    /// Compute-op divides, then divides and multiplies together.
+    div: u64,
+    div_mul: u64,
+    src_indep: u64,
+    addr_indep: u64,
+    /// ln(1 − 1/mean) of the phase's geometric dependence distance.
+    ln_q: f64,
+}
+
+impl PhaseBounds {
+    fn new(profile: &AppProfile, phase_idx: usize) -> Self {
+        Self::with_bound(profile, phase_idx, unit_bound)
+    }
+
+    /// The bounds of phase `phase_idx` (neutral past the schedule), each
+    /// probability mapped through `bound`. The sums are added in the
+    /// order the cascade of `next_uop` compares them, so every bound is
+    /// that of the very `f64` the comparison used to read.
+    fn with_bound(p: &AppProfile, phase_idx: usize, mut bound: impl FnMut(f64) -> u64) -> Self {
+        let (mem_p, br_p, ilp_s, predictability) = match p.phases.get(phase_idx) {
+            Some(ph) => (
+                ph.mem_pressure,
+                ph.br_pressure,
+                ph.ilp_scale,
+                ph.predictability,
+            ),
+            None => (1.0, 1.0, 1.0, 1.0),
+        };
+        let syscall_p = p.syscall_per_muop / 1.0e6;
+        let branch_frac = (p.branch_frac * br_p).min(0.5);
+        let jump_hi = syscall_p + branch_frac + p.jump_frac;
+        let load_hi = jump_hi + p.load_frac;
+        let mean = (p.mean_dep_dist * ilp_s).max(1.0);
+        PhaseBounds {
+            syscall: bound(syscall_p),
+            cond_branch: bound(syscall_p + branch_frac),
+            jump: bound(jump_hi),
+            load: bound(load_hi),
+            store: bound(load_hi + p.store_frac),
+            predictable: (predictability < 1.0).then(|| bound(predictability)),
+            branch_bias: bound(p.branch_bias),
+            cold: bound((p.cold_frac * mem_p).min(1.0)),
+            stride: bound(p.stride_frac),
+            fp: bound(p.fp_frac),
+            div: bound(p.div_frac),
+            div_mul: bound(p.div_frac + p.mul_frac),
+            src_indep: bound(p.src_indep_frac),
+            addr_indep: bound(p.addr_indep_frac),
+            ln_q: (1.0 - 1.0 / mean).max(1e-12).ln(),
+        }
+    }
+}
+
 /// Deterministic, cloneable infinite *statistical* micro-op stream for one
 /// thread — the synthetic backend behind the [`UopStream`] facade.
 #[derive(Clone, Debug)]
@@ -154,7 +280,7 @@ pub struct SynthStream {
     /// Hot function entry points; most calls go here (code has hot spots —
     /// without this, large-footprint apps walk their code uniformly and
     /// the I-cache mispredicts reality by an order of magnitude).
-    hot_entries: Vec<u64>,
+    hot_entries: [u64; HOT_ENTRIES],
 
     // data flow
     next_dst_int: u8,
@@ -172,8 +298,7 @@ pub struct SynthStream {
     ws_size: u64,
     /// Hot-subset size for random accesses (80/20 two-level locality).
     ws_hot_size: u64,
-    /// Span the strided pointer walks before wrapping: real inner loops
-    /// re-walk bounded arrays, not the entire footprint.
+    /// Span the strided pointer walks before wrapping.
     stride_span: u64,
     ws_stride_ptr: u64,
     cold_ptr: u64,
@@ -181,15 +306,11 @@ pub struct SynthStream {
     // phases
     phase_idx: usize,
     phase_left: u64,
+    /// The current phase's draw bounds (transient).
+    bounds: PhaseBounds,
 
     // bookkeeping
     generated: u64,
-    /// `(ilp_scale, ln(1 - 1/mean))` of the last dependence-distance draw:
-    /// the log depends only on the phase's ILP scale, so it is computed
-    /// once per phase instead of once per source operand. Transient (not
-    /// serialized) and exact: the memo holds the very `f64` the draw would
-    /// compute.
-    dep_ln: Option<(f64, f64)>,
 }
 
 impl SynthStream {
@@ -197,13 +318,10 @@ impl SynthStream {
     /// offset by `addr_base` (give each thread a distinct base).
     pub fn new(profile: Arc<AppProfile>, seed: u64, addr_base: u64) -> Self {
         debug_assert!(profile.validate().is_ok());
-        let code_size = profile.code_bytes.max(64).next_power_of_two();
-        // One site per instruction slot, capped: apps with very large code
-        // footprints alias sites, which (realistically) hurts their
-        // predictability a little.
-        let n_sites = ((code_size / OP_BYTES).max(16) as usize).min(16_384);
+        let layout = Layout::of(&profile).expect("footprints fit a u64");
+        let code_size = layout.code_size;
         let mut site_seed = SplitMix64::new(SplitMix64::derive(seed, 0xB7A7));
-        let sites = (0..n_sites)
+        let sites = (0..layout.n_sites)
             .map(|_| {
                 let r = site_seed.next_f64();
                 if r < profile.pattern_frac {
@@ -226,10 +344,9 @@ impl SynthStream {
             .unwrap_or(u64::MAX);
         let span_ops = code_size / OP_BYTES;
         let mut entry_seed = SplitMix64::new(SplitMix64::derive(seed, 0xF00D));
-        let hot_entries = (0..12)
-            .map(|_| ((entry_seed.next_u64() % span_ops) & !63) * OP_BYTES % code_size)
-            .collect();
-        let ws_size = profile.data_ws_bytes.max(64).next_power_of_two();
+        let hot_entries = std::array::from_fn(|_| {
+            ((entry_seed.next_u64() % span_ops) & !63) * OP_BYTES % code_size
+        });
         SynthStream {
             rng: SmallRng::seed_from_u64(SplitMix64::derive(seed, 0x57EE)),
             addr_base,
@@ -243,15 +360,15 @@ impl SynthStream {
             recent_dsts: [None; MAX_DEP_DIST],
             recent_head: 0,
             last_load_dst: None,
-            ws_hot_size: (ws_size / 32).clamp(2 << 10, 8 << 10).min(ws_size),
-            stride_span: (ws_size / 8).clamp(4 << 10, 64 << 10).min(ws_size),
-            ws_size,
+            ws_hot_size: layout.ws_hot_size,
+            stride_span: layout.stride_span,
+            ws_size: layout.ws_size,
             ws_stride_ptr: 0,
             cold_ptr: 0,
             phase_idx: 0,
             phase_left,
+            bounds: PhaseBounds::new(&profile, 0),
             generated: 0,
-            dep_ln: None,
             profile,
         }
     }
@@ -278,12 +395,11 @@ impl SynthStream {
         self.addr_base
     }
 
+    /// The next 53-bit uniform draw, `m` of `u = m·2⁻⁵³`: the same
+    /// generator step `gen::<f64>()` takes, compared against a bound.
     #[inline]
-    fn phase(&self) -> (f64, f64, f64, f64) {
-        match self.profile.phases.get(self.phase_idx) {
-            Some(p) => (p.mem_pressure, p.br_pressure, p.ilp_scale, p.predictability),
-            None => (1.0, 1.0, 1.0, 1.0),
-        }
+    fn draw(&mut self) -> u64 {
+        self.rng.next_u64() >> 11
     }
 
     fn advance_phase(&mut self) {
@@ -294,6 +410,7 @@ impl SynthStream {
         if self.phase_left == 0 {
             self.phase_idx = (self.phase_idx + 1) % self.profile.phases.len();
             self.phase_left = self.profile.phases[self.phase_idx].len_uops;
+            self.bounds = PhaseBounds::new(&self.profile, self.phase_idx);
         }
     }
 
@@ -301,106 +418,90 @@ impl SynthStream {
     /// window (offset by 2 to keep r0/r1 as never-written "constant" regs).
     fn alloc_dst(&mut self, class: RegClass) -> ArchReg {
         let ctr = match class {
-            RegClass::Int => {
-                let c = self.next_dst_int;
-                self.next_dst_int = (self.next_dst_int + 1) % DST_WINDOW;
-                c
-            }
-            RegClass::Fp => {
-                let c = self.next_dst_fp;
-                self.next_dst_fp = (self.next_dst_fp + 1) % DST_WINDOW;
-                c
-            }
+            RegClass::Int => &mut self.next_dst_int,
+            RegClass::Fp => &mut self.next_dst_fp,
         };
-        ArchReg {
-            class,
-            idx: 2 + ctr,
-        }
+        let c = *ctr;
+        *ctr = if c + 1 == DST_WINDOW { 0 } else { c + 1 };
+        ArchReg { class, idx: 2 + c }
     }
 
     /// Pick a source register at a geometric dependence distance, or `None`
     /// for an independent operand (an immediate / long-lived value) — drawn
-    /// with probability `indep_frac`, or when the distance draw exceeds the
-    /// window.
-    fn pick_src(&mut self, ilp_scale: f64, indep_frac: f64) -> Option<ArchReg> {
-        if self.rng.gen::<f64>() < indep_frac {
+    /// below `indep`, or when the distance draw exceeds the window.
+    fn pick_src(&mut self, indep: u64) -> Option<ArchReg> {
+        if self.draw() < indep {
             return None;
         }
         // Geometric with mean `mean`: P(d = k) = (1-p)^(k-1) p, p = 1/mean.
-        let ln_q = match self.dep_ln {
-            Some((scale, ln_q)) if scale.to_bits() == ilp_scale.to_bits() => ln_q,
-            _ => {
-                let mean = (self.profile.mean_dep_dist * ilp_scale).max(1.0);
-                let p = 1.0 / mean;
-                let ln_q = (1.0 - p).max(1e-12).ln();
-                self.dep_ln = Some((ilp_scale, ln_q));
-                ln_q
-            }
-        };
-        let d = dep_distance(self.rng.gen::<f64>(), ln_q)?;
+        let d = dep_distance(self.rng.gen::<f64>(), self.bounds.ln_q)?;
         // recent_head points at the slot for the *next* push; distance 1 is
         // the most recent.
-        let slot = (self.recent_head + MAX_DEP_DIST - d) % MAX_DEP_DIST;
+        let slot = if self.recent_head >= d {
+            self.recent_head - d
+        } else {
+            self.recent_head + MAX_DEP_DIST - d
+        };
         self.recent_dsts[slot]
     }
 
     fn push_dst(&mut self, dst: Option<ArchReg>) {
         self.recent_dsts[self.recent_head] = dst;
-        self.recent_head = (self.recent_head + 1) % MAX_DEP_DIST;
+        self.recent_head = if self.recent_head + 1 == MAX_DEP_DIST {
+            0
+        } else {
+            self.recent_head + 1
+        };
     }
 
     /// Generate a data address according to locality parameters.
-    fn gen_addr(&mut self, mem_pressure: f64) -> u64 {
-        let cold = (self.profile.cold_frac * mem_pressure).min(1.0);
-        let off = if self.rng.gen::<f64>() < cold {
+    fn gen_addr(&mut self) -> u64 {
+        let off = if self.draw() < self.bounds.cold {
             // Streaming through a large cold region: every new line misses.
             self.cold_ptr = (self.cold_ptr + 64) % COLD_REGION_BYTES;
             (1 << 30) + self.cold_ptr
-        } else if self.rng.gen::<f64>() < self.profile.stride_frac {
-            self.ws_stride_ptr = (self.ws_stride_ptr + 8) % self.stride_span;
+        } else if self.draw() < self.bounds.stride {
+            self.ws_stride_ptr = (self.ws_stride_ptr + 8) & (self.stride_span - 1);
             self.ws_stride_ptr
-        } else if self.rng.gen::<f64>() < 0.8 {
+        } else if self.draw() < HOT_ACCESS {
             // Two-level locality: most random accesses hit a hot subset.
-            (self.rng.gen::<u64>() % self.ws_hot_size) & !7
+            self.rng.next_u64() & (self.ws_hot_size - 1) & !7
         } else {
-            (self.rng.gen::<u64>() % self.ws_size) & !7
+            self.rng.next_u64() & (self.ws_size - 1) & !7
         };
         self.addr_base | off
     }
 
-    fn site_for(&self, pc: u64) -> usize {
-        ((pc / OP_BYTES) as usize) % self.sites.len()
-    }
-
-    /// Resolve the direction of the conditional branch at `pc`;
-    /// `predictability` is the current phase's learnable fraction.
-    fn branch_outcome(&mut self, pc: u64, predictability: f64) -> bool {
-        if predictability < 1.0 && self.rng.gen::<f64>() >= predictability {
-            // Storm outcome: pure noise, unlearnable by any predictor.
-            return self.rng.gen::<bool>();
+    /// Resolve the direction of the conditional branch at `pc`.
+    fn branch_outcome(&mut self, pc: u64) -> bool {
+        if let Some(predictable) = self.bounds.predictable {
+            if self.draw() >= predictable {
+                // Storm outcome: pure noise, unlearnable by any predictor.
+                return self.rng.gen::<bool>();
+            }
         }
-        let idx = self.site_for(pc);
-        let site = &mut self.sites[idx];
-        if site.trip == 0 {
-            let follow = self.rng.gen::<f64>() < self.profile.branch_bias;
-            site.state == u8::from(follow)
+        let idx = ((pc / OP_BYTES) as usize) & (self.sites.len() - 1);
+        let BranchSite { trip, state } = self.sites[idx];
+        if trip == 0 {
+            let follow = self.draw() < self.bounds.branch_bias;
+            state == u8::from(follow)
         } else {
             // Taken trip-1 times, then the loop exit.
-            site.state = (site.state + 1) % site.trip;
-            site.state != 0
+            let state = if state + 1 == trip { 0 } else { state + 1 };
+            self.sites[idx].state = state;
+            state != 0
         }
     }
 
     /// Pick a conditional-branch target: mostly short backward loops, some
     /// forward skips — both stay inside the code region.
     fn cond_target(&mut self, pc: u64) -> u64 {
-        let span_ops = self.code_size / OP_BYTES;
-        if self.rng.gen::<f64>() < 0.6 {
-            let back = 4 + self.rng.gen::<u64>() % 60; // loop body 4..64 ops
-            pc.wrapping_sub(back * OP_BYTES) % self.code_size
+        if self.draw() < BACKWARD {
+            let back = 4 + self.rng.next_u64() % 60; // loop body 4..64 ops
+            pc.wrapping_sub(back * OP_BYTES) & (self.code_size - 1)
         } else {
-            let fwd = 2 + self.rng.gen::<u64>() % 30;
-            ((pc / OP_BYTES + fwd) % span_ops) * OP_BYTES
+            let fwd = 2 + self.rng.next_u64() % 30;
+            (pc + fwd * OP_BYTES) & (self.code_size - 1)
         }
     }
 
@@ -418,6 +519,8 @@ impl SynthStream {
         w.u64(self.code_size);
         self.sites.encode(w);
         self.call_stack.encode(w);
+        // Length-prefixed, as the `Vec` it used to be.
+        w.usize(HOT_ENTRIES);
         self.hot_entries.encode(w);
         w.u8(self.next_dst_int);
         w.u8(self.next_dst_fp);
@@ -437,7 +540,8 @@ impl SynthStream {
     }
 
     /// Rebuild a stream from [`encode_state`](Self::encode_state) bytes.
-    /// A nonzero retired slot is [`CodecError::Invalid`].
+    /// Only a state the generator can reach decodes; anything else, and a
+    /// nonzero retired slot, is [`CodecError::Invalid`] naming the field.
     pub fn decode_state(r: &mut ByteReader) -> Result<Self, CodecError> {
         let profile: AppProfile = codec::decode_json(r)?;
         let rng = SmallRng::from_state(<[u64; 4]>::decode(r)?);
@@ -445,18 +549,25 @@ impl SynthStream {
         let pc = r.u64()?;
         let code_size = r.u64()?;
         let sites: Vec<BranchSite> = Vec::decode(r)?;
-        if sites.is_empty() {
-            return Err(CodecError::Invalid("stream has no branch sites".into()));
-        }
-        let stream = SynthStream {
+        let call_stack = Vec::decode(r)?;
+        let hot_entries: Vec<u64> = Vec::decode(r)?;
+        let hot_entries = <[u64; HOT_ENTRIES]>::try_from(hot_entries).map_err(|v| {
+            CodecError::Invalid(format!(
+                "hot_entries: {} entries, the generator draws {HOT_ENTRIES}",
+                v.len()
+            ))
+        })?;
+        let mut stream = SynthStream {
+            // Rebuilt below, once the phase index is known to be valid.
+            bounds: PhaseBounds::new(&profile, 0),
             profile: Arc::new(profile),
             rng,
             addr_base,
             pc,
             code_size,
             sites,
-            call_stack: Vec::decode(r)?,
-            hot_entries: Vec::decode(r)?,
+            call_stack,
+            hot_entries,
             next_dst_int: r.u8()?,
             next_dst_fp: r.u8()?,
             recent_dsts: <[Option<ArchReg>; MAX_DEP_DIST]>::decode(r)?,
@@ -470,60 +581,168 @@ impl SynthStream {
             phase_idx: r.usize()?,
             phase_left: r.u64()?,
             generated: r.u64()?,
-            dep_ln: None,
         };
         if (r.u8()?, r.u64()?) != (0, 0) {
             return Err(CodecError::Invalid(
                 "synthetic stream carries a retired script slot".into(),
             ));
         }
+        stream.validate().map_err(CodecError::Invalid)?;
+        stream.bounds = PhaseBounds::new(&stream.profile, stream.phase_idx);
         Ok(stream)
+    }
+
+    /// Is this a state the generator can reach? Returns the first field
+    /// that is not, with why. Every size [`Self::new`] derives from the
+    /// profile must equal its derivation, and every cursor must lie in the
+    /// range [`Self::next_uop`] keeps it in: then every mask and index of
+    /// the per-op path is in range.
+    fn validate(&self) -> Result<(), String> {
+        self.profile
+            .validate()
+            .map_err(|e| format!("profile: {e}"))?;
+        let want = Layout::of(&self.profile)
+            .ok_or("profile: a footprint has no power-of-two size in a u64")?;
+        let derived = [
+            ("code_size", self.code_size, want.code_size),
+            ("sites", self.sites.len() as u64, want.n_sites as u64),
+            ("ws_size", self.ws_size, want.ws_size),
+            ("ws_hot_size", self.ws_hot_size, want.ws_hot_size),
+            ("stride_span", self.stride_span, want.stride_span),
+        ];
+        for (field, got, want) in derived {
+            if got != want {
+                return Err(format!("{field} {got} is not the profile's {want}"));
+            }
+        }
+        let code_offset = |v: u64, align: u64| v < self.code_size && v.is_multiple_of(align);
+        if let Some(i) =
+            (0..HOT_ENTRIES).find(|&i| !code_offset(self.hot_entries[i], HOT_ENTRY_ALIGN))
+        {
+            return Err(format!(
+                "hot_entries[{i}] {:#x} is not a {HOT_ENTRY_ALIGN}-byte-aligned code offset",
+                self.hot_entries[i]
+            ));
+        }
+        if !code_offset(self.pc, OP_BYTES) {
+            return Err(format!(
+                "pc {:#x} is not an op slot of the code region",
+                self.pc
+            ));
+        }
+        if self.call_stack.len() > CALL_STACK_MAX {
+            return Err(format!(
+                "call_stack holds {} returns, past {CALL_STACK_MAX}",
+                self.call_stack.len()
+            ));
+        }
+        if let Some(ret) = self
+            .call_stack
+            .iter()
+            .find(|&&ret| !code_offset(ret, OP_BYTES))
+        {
+            return Err(format!(
+                "call_stack return {ret:#x} is not an op slot of the code region"
+            ));
+        }
+        for (field, ctr) in [
+            ("next_dst_int", self.next_dst_int),
+            ("next_dst_fp", self.next_dst_fp),
+        ] {
+            if ctr >= DST_WINDOW {
+                return Err(format!(
+                    "{field} {ctr} is past the {DST_WINDOW}-register window"
+                ));
+            }
+        }
+        let window_reg =
+            |reg: &Option<ArchReg>| reg.is_none_or(|r| (2..2 + DST_WINDOW).contains(&r.idx));
+        if let Some(i) = (0..MAX_DEP_DIST).find(|&i| !window_reg(&self.recent_dsts[i])) {
+            return Err(format!(
+                "recent_dsts[{i}] {:?} is not a destination the generator allocates",
+                self.recent_dsts[i]
+            ));
+        }
+        if !window_reg(&self.last_load_dst) {
+            return Err(format!(
+                "last_load_dst {:?} is not a destination the generator allocates",
+                self.last_load_dst
+            ));
+        }
+        if self.recent_head >= MAX_DEP_DIST {
+            return Err(format!(
+                "recent_head {} is past the {MAX_DEP_DIST}-slot ring",
+                self.recent_head
+            ));
+        }
+        match self.profile.phases.get(self.phase_idx) {
+            Some(phase) if (1..=phase.len_uops).contains(&self.phase_left) => {}
+            None if self.profile.phases.is_empty()
+                && self.phase_idx == 0
+                && self.phase_left == u64::MAX => {}
+            _ => {
+                return Err(format!(
+                    "phase_idx {} with phase_left {} is not a position in the profile's {} phases",
+                    self.phase_idx,
+                    self.phase_left,
+                    self.profile.phases.len()
+                ))
+            }
+        }
+        if self.ws_stride_ptr >= self.stride_span || !self.ws_stride_ptr.is_multiple_of(8) {
+            return Err(format!(
+                "ws_stride_ptr {:#x} is not an 8-byte step below stride_span",
+                self.ws_stride_ptr
+            ));
+        }
+        if self.cold_ptr >= COLD_REGION_BYTES || !self.cold_ptr.is_multiple_of(64) {
+            return Err(format!(
+                "cold_ptr {:#x} is not a line of the cold region",
+                self.cold_ptr
+            ));
+        }
+        if self.rng.state() == [0; 4] {
+            return Err("rng state is all zero, which xoshiro never reaches".into());
+        }
+        Ok(())
     }
 
     /// Generate the next micro-op.
     pub fn next_uop(&mut self) -> MicroOp {
-        let (mem_p, br_p, ilp_s, predictability) = self.phase();
-        // Copy the profile fields out, so reading them holds no borrow of
-        // `self` across the mutating helper calls below.
-        let AppProfile {
-            branch_frac,
-            jump_frac,
-            load_frac,
-            store_frac,
-            fp_frac,
-            mul_frac,
-            div_frac,
-            syscall_per_muop,
-            src_indep_frac,
-            addr_indep_frac,
+        // Copy the bounds out, so reading them holds no borrow of `self`
+        // across the mutating helper calls below.
+        let PhaseBounds {
+            syscall,
+            cond_branch,
+            jump,
+            load,
+            store,
+            fp,
+            div,
+            div_mul,
+            src_indep,
+            addr_indep,
             ..
-        } = *self.profile;
-
-        let branch_frac = (branch_frac * br_p).min(0.5);
-        let r: f64 = self.rng.gen();
-        let syscall_p = syscall_per_muop / 1.0e6;
+        } = self.bounds;
+        let r = self.draw();
 
         let pc = self.addr_base | self.pc;
-        let mut next_pc = (self.pc + OP_BYTES) % self.code_size;
+        let mut next_pc = (self.pc + OP_BYTES) & (self.code_size - 1);
 
-        // Local snapshot of per-branch probabilities to keep the cascade
-        // readable. Order: syscall, cond-branch, jump, load, store, compute.
-        let jump_hi = syscall_p + branch_frac + jump_frac;
-        let load_hi = jump_hi + load_frac;
-        let store_hi = load_hi + store_frac;
-
-        let (kind, dst, src1, src2, mem, branch) = if r < syscall_p {
+        // The op-kind cascade: syscall, cond-branch, jump, load, store,
+        // compute.
+        let (kind, dst, src1, src2, mem, branch) = if r < syscall {
             (OpKind::Syscall, None, None, None, None, None)
-        } else if r < syscall_p + branch_frac {
-            let taken = self.branch_outcome(self.pc, predictability);
+        } else if r < cond_branch {
+            let taken = self.branch_outcome(self.pc);
             let target_off = self.cond_target(self.pc);
             if taken {
                 next_pc = target_off;
             }
-            let s1 = if self.rng.gen::<f64>() < 0.5 && self.last_load_dst.is_some() {
+            let s1 = if self.draw() < TEST_LAST_LOAD && self.last_load_dst.is_some() {
                 self.last_load_dst
             } else {
-                self.pick_src(ilp_s, src_indep_frac)
+                self.pick_src(src_indep)
             };
             (
                 OpKind::Branch,
@@ -537,22 +756,21 @@ impl SynthStream {
                     target: self.addr_base | target_off,
                 }),
             )
-        } else if r < jump_hi {
+        } else if r < jump {
             // Unconditional control: call / return / direct jump.
-            let u: f64 = self.rng.gen();
-            let (bk, target_off) = if u < 0.35 && self.call_stack.len() < CALL_STACK_MAX {
+            let u = self.draw();
+            let (bk, target_off) = if u < CALL && self.call_stack.len() < CALL_STACK_MAX {
                 // Call: usually one of the hot functions, occasionally a
                 // cold one (85/15 — code has hot spots).
-                let entry = if self.rng.gen::<f64>() < 0.85 {
-                    let i = (self.rng.gen::<u64>() as usize) % self.hot_entries.len();
-                    self.hot_entries[i]
+                let entry = if self.draw() < HOT_CALL {
+                    self.hot_entries[(self.rng.next_u64() as usize) % HOT_ENTRIES]
                 } else {
                     let span_ops = self.code_size / OP_BYTES;
-                    ((self.rng.gen::<u64>() % span_ops) & !63) * OP_BYTES % self.code_size
+                    (self.rng.next_u64() & (span_ops - 1) & !63) * OP_BYTES
                 };
                 self.call_stack.push(next_pc);
                 (BranchKind::Call, entry)
-            } else if u < 0.70 {
+            } else if u < RETURN {
                 match self.call_stack.pop() {
                     Some(ret) => (BranchKind::Return, ret),
                     None => (BranchKind::Unconditional, self.cond_target(self.pc)),
@@ -573,16 +791,16 @@ impl SynthStream {
                     target: self.addr_base | target_off,
                 }),
             )
-        } else if r < load_hi {
-            let addr = self.gen_addr(mem_p);
-            let class = if self.rng.gen::<f64>() < fp_frac {
+        } else if r < load {
+            let addr = self.gen_addr();
+            let class = if self.draw() < fp {
                 RegClass::Fp
             } else {
                 RegClass::Int
             };
             let dst = self.alloc_dst(class);
             self.last_load_dst = Some(dst);
-            let s1 = self.pick_src(ilp_s, addr_indep_frac);
+            let s1 = self.pick_src(addr_indep);
             (
                 OpKind::Load,
                 Some(dst),
@@ -591,10 +809,10 @@ impl SynthStream {
                 Some(MemInfo { addr, size: 8 }),
                 None,
             )
-        } else if r < store_hi {
-            let addr = self.gen_addr(mem_p);
-            let s1 = self.pick_src(ilp_s, addr_indep_frac); // address
-            let s2 = self.pick_src(ilp_s, src_indep_frac); // data
+        } else if r < store {
+            let addr = self.gen_addr();
+            let s1 = self.pick_src(addr_indep); // address
+            let s2 = self.pick_src(src_indep); // data
             (
                 OpKind::Store,
                 None,
@@ -605,15 +823,15 @@ impl SynthStream {
             )
         } else {
             // Compute op.
-            let fp = self.rng.gen::<f64>() < fp_frac;
-            let u: f64 = self.rng.gen();
-            let kind = if u < div_frac {
+            let fp = self.draw() < fp;
+            let u = self.draw();
+            let kind = if u < div {
                 if fp {
                     OpKind::FpDiv
                 } else {
                     OpKind::IntDiv
                 }
-            } else if u < div_frac + mul_frac {
+            } else if u < div_mul {
                 if fp {
                     OpKind::FpMul
                 } else {
@@ -626,8 +844,8 @@ impl SynthStream {
             };
             let class = if fp { RegClass::Fp } else { RegClass::Int };
             let dst = self.alloc_dst(class);
-            let s1 = self.pick_src(ilp_s, src_indep_frac);
-            let s2 = self.pick_src(ilp_s, src_indep_frac);
+            let s1 = self.pick_src(src_indep);
+            let s2 = self.pick_src(src_indep);
             (kind, Some(dst), s1, s2, None, None)
         };
 
@@ -823,6 +1041,240 @@ mod tests {
         assert_eq!(dep_distance(0.75f64.powi(19) * 0.999, ln_q), Some(20));
         assert_eq!(dep_distance(0.75f64.powi(20) * 0.999, ln_q), None);
         assert_eq!(dep_distance(f64::MIN_POSITIVE, ln_q), None);
+    }
+
+    /// The pre-cut form of [`dep_distance`], with `floor`.
+    fn dep_distance_floor(u: f64, ln_q: f64) -> Option<usize> {
+        let k = (u.ln() / ln_q).floor();
+        if k >= MAX_DEP_DIST as f64 {
+            return None;
+        }
+        Some(1 + k as usize)
+    }
+
+    /// The `f64` the samplers make of a 53-bit draw `m`.
+    fn unit(m: u64) -> f64 {
+        m as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// `m = bound − 1` passes `u < p` and `m = bound` does not. For
+    /// `p ≥ 0.5`, p·2⁵³ is an integer: the bound must be exactly it, since
+    /// an off-by-one there moves one draw in 2⁵³, which no stream
+    /// fingerprint would notice.
+    fn assert_exact_bound(p: f64) {
+        let bound = unit_bound(p);
+        if p > 1.0 {
+            assert!(bound > 1 << 53, "p {p}: bound {bound} fails a draw");
+            return;
+        }
+        if bound > 0 {
+            assert!(unit(bound - 1) < p, "p {p}: m = bound - 1 fails");
+        }
+        assert!(unit(bound) >= p, "p {p}: m = bound {bound} passes");
+        if p >= 0.5 {
+            let scaled = p * (1u64 << 53) as f64;
+            assert_eq!(scaled.fract(), 0.0, "p {p}: p·2⁵³ is not an integer");
+            assert_eq!(bound as f64, scaled, "p {p}");
+            assert_eq!(unit(bound), p, "p {p}");
+        }
+    }
+
+    /// Every app's per-phase bounds (and the neutral bounds past the
+    /// schedule), each probability checked by `assert_exact_bound`.
+    fn every_phase_bounds() -> Vec<PhaseBounds> {
+        let mut out = Vec::new();
+        for name in crate::app_names() {
+            let profile = crate::app(name);
+            for idx in 0..=profile.phases.len() {
+                let checked = PhaseBounds::with_bound(&profile, idx, |p| {
+                    assert_exact_bound(p);
+                    unit_bound(p)
+                });
+                let plain = PhaseBounds::new(&profile, idx);
+                assert_eq!(format!("{checked:?}"), format!("{plain:?}"));
+                out.push(plain);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn literal_bounds_are_exact() {
+        // The stream's literals, then the wrong-path generator's.
+        let literals = [0.35, 0.5, 0.6, 0.7, 0.8, 0.85, 0.33, 0.55, 0.75, 0.83, 0.93];
+        for p in literals {
+            assert_exact_bound(p);
+        }
+        assert_eq!(
+            [TEST_LAST_LOAD, CALL, RETURN, HOT_CALL, BACKWARD, HOT_ACCESS],
+            [0.5, 0.35, 0.70, 0.85, 0.6, 0.8].map(unit_bound)
+        );
+        assert_eq!(unit_bound(0.0), 0);
+        assert_eq!(unit_bound(-1.0), 0);
+        assert_eq!(unit_bound(f64::NAN), 0);
+        assert_eq!(unit_bound(1.0), 1 << 53);
+        assert_eq!(unit_bound(f64::INFINITY), u64::MAX);
+        // The smallest positive probability passes only m = 0.
+        assert_eq!(unit_bound(f64::MIN_POSITIVE), 1);
+    }
+
+    #[test]
+    fn every_app_phase_bound_is_exact() {
+        let bounds = every_phase_bounds();
+        assert!(bounds.len() > crate::APP_COUNT, "no app has phases");
+        // A phase whose predictability is below 1 draws for storms.
+        assert!(bounds.iter().any(|b| b.predictable.is_some()));
+    }
+
+    #[test]
+    fn floor_free_dep_distance_matches_the_floor_form_at_every_boundary() {
+        let mut ln_qs: Vec<f64> = every_phase_bounds().iter().map(|b| b.ln_q).collect();
+        // The extremes `PhaseBounds` can make: a mean of 1 (clamped to
+        // ln 1e-12), just above it, and a long one.
+        ln_qs.extend([1.0, 1.0001, 100.0].map(|mean: f64| (1.0 - 1.0 / mean).max(1e-12).ln()));
+        for ln_q in ln_qs {
+            assert!(ln_q.is_finite() && ln_q < 0.0, "ln_q {ln_q}");
+            let x = |m: u64| unit(m).ln() / ln_q;
+            // u = 0 and the smallest draw.
+            let mut draws = vec![0, 1];
+            for k in 1..=MAX_DEP_DIST {
+                // The first draw with x < k: ⌊x⌋ steps below k there.
+                let (mut lo, mut hi) = (1u64, 1 << 53);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    if x(mid) < k as f64 {
+                        hi = mid;
+                    } else {
+                        lo = mid + 1;
+                    }
+                }
+                if lo > 1 && lo < 1 << 53 {
+                    assert!(x(lo - 1) >= k as f64 && x(lo) < k as f64);
+                }
+                draws.extend(lo.saturating_sub(2)..(lo + 2).min(1 << 53));
+            }
+            for m in draws {
+                let u = unit(m);
+                assert!(!x(m).is_nan(), "m {m}, ln_q {ln_q}");
+                assert_eq!(
+                    dep_distance(u, ln_q),
+                    dep_distance_floor(u, ln_q),
+                    "m {m}, ln_q {ln_q}"
+                );
+            }
+        }
+    }
+
+    /// A synthetic stream of a phased app 5,000 ops in: calls, loads and
+    /// phases have moved every cursor off its start.
+    fn warm_synth() -> SynthStream {
+        let mut s = SynthStream::new(Arc::new(crate::app("mcf")), 42, crate::thread_addr_base(1));
+        for _ in 0..5_000 {
+            s.next_uop();
+        }
+        s
+    }
+
+    /// Decode `s`'s encoding: `None` if it decodes, else the message of
+    /// its `CodecError::Invalid`.
+    fn decode_error(s: &SynthStream) -> Option<String> {
+        let mut w = ByteWriter::new();
+        s.encode_state(&mut w);
+        match SynthStream::decode_state(&mut ByteReader::new(w.as_bytes())) {
+            Ok(_) => None,
+            Err(CodecError::Invalid(msg)) => Some(msg),
+            Err(e) => panic!("{e:?} is not CodecError::Invalid"),
+        }
+    }
+
+    #[test]
+    fn unreachable_states_are_invalid_and_name_their_field() {
+        let warm = warm_synth();
+        assert_eq!(decode_error(&warm), None);
+        type Mutation = (&'static str, fn(&mut SynthStream));
+        let table: [Mutation; 28] = [
+            ("profile", |s| {
+                let mut p = (*s.profile).clone();
+                p.branch_frac = 2.0;
+                s.profile = Arc::new(p);
+            }),
+            ("code_size", |s| s.code_size = 0),
+            ("code_size", |s| s.code_size *= 2),
+            ("sites", |s| s.sites.truncate(s.sites.len() / 2)),
+            ("ws_size", |s| s.ws_size += 64),
+            ("ws_hot_size", |s| s.ws_hot_size /= 2),
+            ("stride_span", |s| s.stride_span = s.ws_size),
+            ("hot_entries[3]", |s| s.hot_entries[3] = s.code_size),
+            ("hot_entries[0]", |s| s.hot_entries[0] += OP_BYTES),
+            ("pc", |s| s.pc = s.code_size),
+            ("pc", |s| s.pc += 2),
+            ("call_stack", |s| s.call_stack = vec![0; CALL_STACK_MAX + 1]),
+            ("call_stack", |s| s.call_stack = vec![s.code_size]),
+            ("next_dst_int", |s| s.next_dst_int = 200),
+            ("next_dst_fp", |s| s.next_dst_fp = DST_WINDOW),
+            ("recent_dsts[5]", |s| {
+                s.recent_dsts[5] = Some(ArchReg::fp(1))
+            }),
+            ("recent_dsts[0]", |s| {
+                s.recent_dsts[0] = Some(ArchReg::int(2 + DST_WINDOW))
+            }),
+            ("last_load_dst", |s| s.last_load_dst = Some(ArchReg::int(0))),
+            ("recent_head", |s| s.recent_head = 25),
+            ("recent_head", |s| s.recent_head = MAX_DEP_DIST),
+            ("phase_idx", |s| s.phase_idx = s.profile.phases.len()),
+            ("phase_left", |s| s.phase_left = 0),
+            ("phase_left", |s| {
+                s.phase_left = s.profile.phases[s.phase_idx].len_uops + 1
+            }),
+            ("ws_stride_ptr", |s| s.ws_stride_ptr = s.stride_span),
+            ("ws_stride_ptr", |s| s.ws_stride_ptr += 4),
+            ("cold_ptr", |s| s.cold_ptr = COLD_REGION_BYTES),
+            ("cold_ptr", |s| s.cold_ptr += 32),
+            ("rng", |s| s.rng = SmallRng::from_state([0; 4])),
+        ];
+        for (field, mutate) in table {
+            let mut bad = warm.clone();
+            mutate(&mut bad);
+            let msg = decode_error(&bad).unwrap_or_else(|| panic!("decoded a bad {field}"));
+            assert!(msg.contains(field), "{field}: {msg}");
+        }
+        // A register the generator allocates from either class is fine.
+        let mut ok = warm.clone();
+        (ok.recent_dsts[0], ok.last_load_dst) = (Some(ArchReg::int(2)), Some(ArchReg::fp(25)));
+        assert_eq!(decode_error(&ok), None);
+    }
+
+    #[test]
+    fn a_hot_entry_list_of_another_length_is_invalid() {
+        let warm = warm_synth();
+        let mut w = ByteWriter::new();
+        warm.encode_state(&mut w);
+        let bytes = w.into_bytes();
+        // The list follows the profile, the rng, three u64 fields, the
+        // sites and the call stack.
+        let mut head = ByteWriter::new();
+        codec::encode_json(&mut head, warm.profile());
+        warm.rng.state().encode(&mut head);
+        for v in [warm.addr_base, warm.pc, warm.code_size] {
+            head.u64(v);
+        }
+        warm.sites.encode(&mut head);
+        warm.call_stack.encode(&mut head);
+        let (at, end) = (head.len(), head.len() + 8 * (1 + HOT_ENTRIES));
+        let mut same = ByteWriter::new();
+        warm.hot_entries.to_vec().encode(&mut same);
+        assert!(bytes[at..end] == *same.as_bytes());
+        let short = warm.hot_entries[..HOT_ENTRIES - 1].to_vec();
+        let long = [&warm.hot_entries[..], &[0]].concat();
+        for entries in [vec![], short, long] {
+            let mut list = ByteWriter::new();
+            entries.encode(&mut list);
+            let patched = [&bytes[..at], list.as_bytes(), &bytes[end..]].concat();
+            match SynthStream::decode_state(&mut ByteReader::new(&patched)) {
+                Err(CodecError::Invalid(msg)) => assert!(msg.contains("hot_entries"), "{msg}"),
+                other => panic!("{} hot entries: {other:?}", entries.len()),
+            }
+        }
     }
 
     #[test]
