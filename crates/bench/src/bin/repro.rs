@@ -75,6 +75,9 @@ fn main() {
         instrument::run(&opts, replay);
     }
     if opts.spans {
+        // Runs that borrowed a thread to generate their µops, beside the
+        // quanta's `batch_helpers`.
+        sweep::spans().bump("run_helpers", smt_sim::batch::run_helpers());
         match sweep::spans().write_artifacts(&opts.spans_out) {
             Ok(art) => println!("[spans] {}", art.trace.display()),
             Err(e) => eprintln!(

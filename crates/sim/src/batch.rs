@@ -45,10 +45,18 @@
 //! ([`set_step_budget`]). Each machine is stepped by exactly one thread
 //! and every cell call stays on the calling thread, in the same order,
 //! so no result depends on the budget or on how the threads interleave.
+//!
+//! The budget counts every thread that is stepping a machine: a
+//! quantum's threads, and the caller of [`SmtMachine::run`] or
+//! `MultiCoreMachine::run` for the length of the run, unless a quantum
+//! already counts it. A long enough bare [`SmtMachine::run`] borrows
+//! one more slot for a thread that generates its correct-path µops
+//! (`crate::lookahead`) if the count with it stays within the budget.
 
 use crate::machine::SmtMachine;
+use std::cell::Cell;
 use std::panic;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// The machine side of lockstep stepping: anything deterministic and
@@ -152,14 +160,25 @@ impl QuantumForks {
 /// [`set_step_budget`] is called.
 static BUDGET: AtomicUsize = AtomicUsize::new(0);
 
-/// Threads stepping batch groups right now: each quantum's calling
-/// thread plus the helpers it took.
+/// Threads stepping machines right now: each quantum's calling thread
+/// plus the helpers it took, and each run's caller plus its generation
+/// helper.
 static STEPPING: AtomicUsize = AtomicUsize::new(0);
 
-/// Cap the threads that step batch groups at once, across every batch
-/// in the process (at least 1). A quantum counts its calling thread and
-/// takes helpers only from what is left, so at most `threads - 1`
-/// helpers exist at any moment, and `1` steps every batch serially.
+/// Runs that borrowed a generation helper, process-wide.
+static RUN_HELPERS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Is this thread stepping a quantum's partitions, and so already in
+    /// [`STEPPING`]?
+    static IN_QUANTUM: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Cap the threads that step machines at once, across the process (at
+/// least 1): batch groups, runs and the runs' generation helpers. A
+/// quantum or a run counts its calling thread and takes helpers only
+/// from what is left, so at most `threads - 1` helpers exist at any
+/// moment, and `1` steps every batch serially and every run inline.
 /// Results never depend on the budget (module docs).
 pub fn set_step_budget(threads: usize) {
     BUDGET.store(threads.max(1), Ordering::Relaxed);
@@ -206,6 +225,65 @@ impl Drop for Stepping {
     }
 }
 
+/// Runs, process-wide, that borrowed a thread to generate their
+/// correct-path µops.
+pub fn run_helpers() -> u64 {
+    RUN_HELPERS.load(Ordering::Relaxed)
+}
+
+/// One run's share of the budget: its calling thread, unless a quantum
+/// already counts it, and a generation helper if it got one. Returned
+/// on drop, also when the run panics.
+pub(crate) struct RunSlots {
+    slots: usize,
+    /// Did the run get a generation helper?
+    pub(crate) helper: bool,
+}
+
+impl RunSlots {
+    /// Count the calling thread and, if `want_helper`, take a helper
+    /// when the count with it stays within the budget, without waiting.
+    pub(crate) fn take(want_helper: bool) -> RunSlots {
+        let caller = usize::from(!IN_QUANTUM.with(Cell::get));
+        let budget = step_budget();
+        let helper = |busy: usize| want_helper && busy + caller < budget;
+        let busy = STEPPING
+            .fetch_update(Ordering::AcqRel, Ordering::Relaxed, |busy| {
+                Some(busy + caller + usize::from(helper(busy)))
+            })
+            .expect("the update always applies");
+        let helper = helper(busy);
+        if helper {
+            RUN_HELPERS.fetch_add(1, Ordering::Relaxed);
+        }
+        RunSlots {
+            slots: caller + usize::from(helper),
+            helper,
+        }
+    }
+}
+
+impl Drop for RunSlots {
+    fn drop(&mut self) {
+        STEPPING.fetch_sub(self.slots, Ordering::AcqRel);
+    }
+}
+
+/// Marks the current thread as counted by a quantum until dropped.
+struct InQuantum(bool);
+
+impl InQuantum {
+    fn enter() -> InQuantum {
+        InQuantum(IN_QUANTUM.with(|c| c.replace(true)))
+    }
+}
+
+impl Drop for InQuantum {
+    fn drop(&mut self) {
+        IN_QUANTUM.with(|c| c.set(self.0));
+    }
+}
+
 struct Group<M> {
     machine: M,
     /// Cell indices sharing `machine`, ascending.
@@ -230,6 +308,7 @@ fn step_parts<M: LockstepMachine, C: LockstepCell<M>>(parts: &mut [Part<C::Plan,
     let parts: Vec<Mutex<&mut Part<C::Plan, M>>> = parts.iter_mut().map(Mutex::new).collect();
     let next = AtomicUsize::new(0);
     let work = || {
+        let _counted = InQuantum::enter();
         while let Some(part) = parts.get(next.fetch_add(1, Ordering::Relaxed)) {
             let mut part = part.lock().expect("each part is taken once");
             let part = &mut **part;

@@ -92,6 +92,11 @@ impl BranchPredictor {
         }
     }
 
+    /// Entries in the PHT: every [`Prediction::pht_index`] is below it.
+    pub(crate) fn pht_len(&self) -> usize {
+        self.pht.len()
+    }
+
     #[inline]
     fn pht_index(&self, tid: Tid, pc: u64) -> usize {
         (((pc >> 2) ^ self.history[tid.idx()]) & self.pht_mask) as usize
@@ -225,7 +230,11 @@ impl BranchPredictor {
         w.u64(self.btb_misses);
     }
 
-    /// Rebuild from [`Self::encode_into`] bytes.
+    /// Rebuild from [`Self::encode_into`] bytes. Only a predictor that
+    /// indexes inside its own tables decodes: each mask is its table's
+    /// length − 1, counters are 2-bit, histories fit their mask and RAS
+    /// depths their maximum. [`Self::check_for`] then holds the sizes to
+    /// the machine's config.
     pub(crate) fn decode_from(r: &mut ByteReader) -> Result<Self, CodecError> {
         let pht: Vec<u8> = Vec::decode(r)?;
         let bimodal: Vec<u8> = Vec::decode(r)?;
@@ -233,7 +242,7 @@ impl BranchPredictor {
         if bimodal.len() != pht.len() || chooser.len() != pht.len() {
             return Err(CodecError::Invalid("predictor table sizes disagree".into()));
         }
-        Ok(BranchPredictor {
+        let p = BranchPredictor {
             pht,
             bimodal,
             chooser,
@@ -246,7 +255,89 @@ impl BranchPredictor {
             ras_max: r.usize()?,
             lookups: r.u64()?,
             btb_misses: r.u64()?,
-        })
+        };
+        p.check_tables().map_err(CodecError::Invalid)?;
+        Ok(p)
+    }
+
+    /// The first way this predictor could index or count outside its own
+    /// tables.
+    fn check_tables(&self) -> Result<(), String> {
+        for (table, mask, len) in [
+            ("PHT", self.pht_mask, self.pht.len()),
+            ("BTB", self.btb_mask, self.btb_tags.len()),
+        ] {
+            if !len.is_power_of_two() || mask != len as u64 - 1 {
+                return Err(format!(
+                    "predictor {table} mask {mask:#x} does not fit its {len} entries"
+                ));
+            }
+        }
+        if self.history_mask & self.history_mask.wrapping_add(1) != 0 {
+            return Err(format!(
+                "predictor history mask {:#x} is not a run of low bits",
+                self.history_mask
+            ));
+        }
+        for (table, counters) in [
+            ("PHT", &self.pht),
+            ("bimodal", &self.bimodal),
+            ("chooser", &self.chooser),
+        ] {
+            if let Some(i) = counters.iter().position(|&c| c > 3) {
+                return Err(format!(
+                    "predictor {table} counter {i} is {}, over 3",
+                    counters[i]
+                ));
+            }
+        }
+        if let Some(t) = self
+            .history
+            .iter()
+            .position(|h| h & !self.history_mask != 0)
+        {
+            return Err(format!(
+                "predictor history of T{t} {:#x} is outside its mask {:#x}",
+                self.history[t], self.history_mask
+            ));
+        }
+        if let Some(t) = self.ras_depth.iter().position(|&d| d > self.ras_max) {
+            return Err(format!(
+                "predictor RAS depth of T{t} {} is over its maximum {}",
+                self.ras_depth[t], self.ras_max
+            ));
+        }
+        Ok(())
+    }
+
+    /// Is this predictor sized as [`Self::new`] sizes one for `cfg`?
+    /// Returns the first size that disagrees.
+    pub(crate) fn check_for(&self, cfg: &SimConfig) -> Result<(), String> {
+        let history_mask = 1u64
+            .checked_shl(cfg.history_bits)
+            .map(|h| h - 1)
+            .ok_or_else(|| format!("history_bits {} is over 63", cfg.history_bits))?;
+        for (what, got, want) in [
+            (
+                "PHT entries",
+                self.pht.len() as u64,
+                1u64 << cfg.gshare_bits,
+            ),
+            (
+                "BTB entries",
+                self.btb_tags.len() as u64,
+                cfg.btb_entries as u64,
+            ),
+            ("history mask", self.history_mask, history_mask),
+            ("RAS depth", self.ras_max as u64, cfg.ras_depth as u64),
+        ] {
+            if got != want {
+                return Err(format!(
+                    "predictor {what} {got:#x} is not the config's {want:#x}"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Train the direction predictor at branch resolution (correct path
@@ -363,6 +454,97 @@ mod tests {
         // entry in general; at minimum its RAS/history state is independent.
         assert_eq!(p.history[1], 0);
         assert_ne!(p.history[0], 0);
+    }
+
+    /// `p` encoded and decoded again.
+    fn roundtrip(p: &BranchPredictor) -> Result<BranchPredictor, CodecError> {
+        let mut w = ByteWriter::new();
+        p.encode_into(&mut w);
+        BranchPredictor::decode_from(&mut ByteReader::new(&w.into_bytes()))
+    }
+
+    #[test]
+    fn decode_rejects_a_predictor_that_indexes_outside_its_tables() {
+        let mut warm = pred();
+        for i in 0..500u64 {
+            let pc = 0x4000 + 4 * (i % 97);
+            let pr = warm.predict(
+                Tid((i % 3) as u8),
+                pc,
+                BranchKind::Conditional,
+                i % 5 < 3,
+                true,
+            );
+            warm.train(pc, pr.pht_index, i % 5 < 3);
+            warm.predict(Tid(1), pc + 8, BranchKind::Call, true, true);
+        }
+        assert!(roundtrip(&warm).is_ok());
+        type Mutation = (&'static str, fn(&mut BranchPredictor));
+        let table: [Mutation; 8] = [
+            ("PHT mask", |p| p.pht_mask = (1 << 20) - 1),
+            ("PHT mask", |p| p.pht_mask >>= 1),
+            ("BTB mask", |p| p.btb_mask = 2 * p.btb_mask + 1),
+            ("history mask", |p| p.history_mask = 0b1011),
+            ("PHT counter", |p| p.pht[5] = 4),
+            ("chooser counter", |p| p.chooser[0] = u8::MAX),
+            ("history of T2", |p| p.history[2] = p.history_mask + 1),
+            ("RAS depth of T1", |p| p.ras_depth[1] = p.ras_max + 1),
+        ];
+        for (what, mutate) in table {
+            let mut p = warm.clone();
+            mutate(&mut p);
+            match roundtrip(&p) {
+                Err(CodecError::Invalid(msg)) => assert!(msg.contains(what), "{what}: {msg}"),
+                other => panic!("{what}: decoded {:?}", other.map(|_| "a predictor")),
+            }
+        }
+    }
+
+    #[test]
+    fn check_for_names_the_size_that_disagrees() {
+        let cfg = SimConfig::default();
+        let p = BranchPredictor::new(&cfg);
+        assert_eq!(p.check_for(&cfg), Ok(()));
+        for (what, other) in [
+            (
+                "PHT entries",
+                SimConfig {
+                    gshare_bits: cfg.gshare_bits + 1,
+                    ..cfg.clone()
+                },
+            ),
+            (
+                "BTB entries",
+                SimConfig {
+                    btb_entries: cfg.btb_entries / 2,
+                    ..cfg.clone()
+                },
+            ),
+            (
+                "history mask",
+                SimConfig {
+                    history_bits: cfg.history_bits - 1,
+                    ..cfg.clone()
+                },
+            ),
+            (
+                "RAS depth",
+                SimConfig {
+                    ras_depth: cfg.ras_depth + 1,
+                    ..cfg.clone()
+                },
+            ),
+            (
+                "history_bits",
+                SimConfig {
+                    history_bits: 64,
+                    ..cfg.clone()
+                },
+            ),
+        ] {
+            let msg = p.check_for(&other).expect_err(what);
+            assert!(msg.contains(what), "{what}: {msg}");
+        }
     }
 
     #[test]

@@ -38,6 +38,7 @@ pub mod config;
 pub mod counters;
 pub mod inflight;
 pub mod iqueue;
+pub mod lookahead;
 pub mod machine;
 pub mod multicore;
 pub mod obs;

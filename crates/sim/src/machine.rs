@@ -24,6 +24,7 @@
 //! The machine is `Clone`: the oracle scheduler in `adts-core` checkpoints
 //! it and replays a quantum under every candidate policy.
 
+use crate::batch::RunSlots;
 use crate::bpred::BranchPredictor;
 use crate::cache::Hierarchy;
 use crate::chooser::FetchChooser;
@@ -33,6 +34,7 @@ use crate::inflight::{
     find_seq, CompletionWheel, InFlight, Stage, StoreFilter, NO_WAKE, WHEEL_NIL,
 };
 use crate::iqueue::{IndexedQueue, NIL};
+use crate::lookahead::{self, CorrectPath, Inline};
 use crate::obs::attr::{CommitCause, FetchCause, IssueCause, SlotAttribution};
 use crate::obs::profile::{StageClock, StageProfile, PROFILE_PERIOD};
 use crate::trace::{MissLevel, TraceBuffer, TraceEvent};
@@ -621,6 +623,7 @@ impl SmtMachine {
         let mem = Hierarchy::decode_from(r)?;
         let buckets = wheel_buckets(&cfg, &mem).map_err(CodecError::Invalid)?;
         let bpred = BranchPredictor::decode_from(r)?;
+        bpred.check_for(&cfg).map_err(CodecError::Invalid)?;
         let n_threads = r.usize()?;
         if n_threads != cfg.threads {
             return Err(CodecError::Invalid(format!(
@@ -1090,10 +1093,10 @@ impl SmtMachine {
     /// Advance one cycle under the given fetch policy.
     pub fn step<C: FetchChooser>(&mut self, chooser: &mut C) {
         match (self.instrumented(), self.profile.is_some()) {
-            (false, false) => self.step_impl::<C, false, false>(chooser),
-            (true, false) => self.step_impl::<C, true, false>(chooser),
-            (false, true) => self.step_impl::<C, false, true>(chooser),
-            (true, true) => self.step_impl::<C, true, true>(chooser),
+            (false, false) => self.step_impl::<C, _, false, false>(chooser, &mut Inline),
+            (true, false) => self.step_impl::<C, _, true, false>(chooser, &mut Inline),
+            (false, true) => self.step_impl::<C, _, false, true>(chooser, &mut Inline),
+            (true, true) => self.step_impl::<C, _, true, true>(chooser, &mut Inline),
         }
     }
 
@@ -1102,6 +1105,12 @@ impl SmtMachine {
     /// attribution and the profile off (every sweep and bench) the whole
     /// quantum runs in the bare monomorphization, with no per-event
     /// branches anywhere in the pipeline and no clock reads.
+    ///
+    /// The run counts its calling thread in the step budget
+    /// ([`crate::batch::set_step_budget`]). A bare run of at least
+    /// [`lookahead::MIN_RUN`] cycles that finds a slot free generates
+    /// every correct-path µop on a helper thread ([`crate::lookahead`]);
+    /// the machine ends bit-identical to an inline run.
     pub fn run<C: FetchChooser>(&mut self, cycles: u64, chooser: &mut C) {
         match (self.instrumented(), self.profile.is_some()) {
             (false, false) => self.run_impl::<C, false, false>(cycles, chooser),
@@ -1116,8 +1125,23 @@ impl SmtMachine {
         cycles: u64,
         chooser: &mut C,
     ) {
-        for _ in 0..cycles {
-            self.step_impl::<C, TRACE, PROFILE>(chooser);
+        let slots = RunSlots::take(!TRACE && !PROFILE && cycles >= lookahead::MIN_RUN);
+        // Testing the consts again keeps the helper path out of the
+        // instrumented and profiled monomorphizations.
+        if !TRACE && !PROFILE && slots.helper {
+            let streams = self.threads.iter().map(|t| t.stream.clone()).collect();
+            let streams = lookahead::with_helper(streams, |feed| {
+                for _ in 0..cycles {
+                    self.step_impl::<C, _, TRACE, PROFILE>(chooser, feed);
+                }
+            });
+            for (t, stream) in self.threads.iter_mut().zip(streams) {
+                t.stream = stream;
+            }
+        } else {
+            for _ in 0..cycles {
+                self.step_impl::<C, _, TRACE, PROFILE>(chooser, &mut Inline);
+            }
         }
     }
 
@@ -1126,10 +1150,12 @@ impl SmtMachine {
     /// profile is. `TRACE` must match [`Self::instrumented`] and `PROFILE`
     /// the profile's presence; `step`/`run` guarantee both. Every trace
     /// emission site still checks `self.trace`, and every attribution hook
-    /// checks `self.attr`, so either can be on without the other.
-    fn step_impl<C: FetchChooser, const TRACE: bool, const PROFILE: bool>(
+    /// checks `self.attr`, so either can be on without the other. `gen`
+    /// supplies the correct-path ops.
+    fn step_impl<C: FetchChooser, G: CorrectPath, const TRACE: bool, const PROFILE: bool>(
         &mut self,
         chooser: &mut C,
+        gen: &mut G,
     ) {
         debug_assert_eq!(TRACE, self.instrumented());
         debug_assert_eq!(PROFILE, self.profile.is_some());
@@ -1145,7 +1171,7 @@ impl SmtMachine {
         clock.lap();
         self.dispatch::<TRACE>();
         clock.lap();
-        self.fetch::<C, TRACE, PROFILE>(chooser, &mut clock);
+        self.fetch::<C, G, TRACE, PROFILE>(chooser, gen, &mut clock);
         clock.lap();
         if PROFILE {
             if let Some(profile) = self.profile.as_deref_mut() {
@@ -1963,9 +1989,10 @@ impl SmtMachine {
     // stage 5: fetch
     // ------------------------------------------------------------------
 
-    fn fetch<C: FetchChooser, const TRACE: bool, const PROFILE: bool>(
+    fn fetch<C: FetchChooser, G: CorrectPath, const TRACE: bool, const PROFILE: bool>(
         &mut self,
         chooser: &mut C,
+        gen: &mut G,
         clock: &mut StageClock,
     ) {
         let now = self.cycle;
@@ -2001,7 +2028,7 @@ impl SmtMachine {
             if remaining == 0 {
                 break;
             }
-            remaining -= self.fetch_thread::<TRACE, PROFILE>(v.tid, remaining, clock);
+            remaining -= self.fetch_thread::<G, TRACE, PROFILE>(v.tid, remaining, gen, clock);
         }
         self.view_buf = views;
         if TRACE {
@@ -2009,13 +2036,14 @@ impl SmtMachine {
         }
     }
 
-    /// Fetch up to `budget` ops from `tid`; returns how many were fetched.
-    /// In a timed cycle of the profile, `clock` times each correct-path
-    /// generation.
-    fn fetch_thread<const TRACE: bool, const PROFILE: bool>(
+    /// Fetch up to `budget` ops from `tid`, its correct-path ops from
+    /// `gen`; returns how many were fetched. In a timed cycle of the
+    /// profile, `clock` times each correct-path generation.
+    fn fetch_thread<G: CorrectPath, const TRACE: bool, const PROFILE: bool>(
         &mut self,
         tid: Tid,
         budget: usize,
+        gen: &mut G,
         clock: &mut StageClock,
     ) -> usize {
         let now = self.cycle;
@@ -2034,7 +2062,7 @@ impl SmtMachine {
             let pc = if wrong_path {
                 ctx.wp_pc
             } else {
-                ctx.stream.current_pc()
+                gen.pc(tid.idx(), &ctx.stream)
             };
             // One I-cache line per thread per cycle.
             let this_line = pc >> line_shift;
@@ -2091,9 +2119,9 @@ impl SmtMachine {
                 ctx.wp_pc += 4;
                 op
             } else if PROFILE && clock.timed() {
-                clock.time_gen(|| ctx.stream.next_uop())
+                clock.time_gen(|| gen.next(tid.idx(), &mut ctx.stream))
             } else {
-                ctx.stream.next_uop()
+                gen.next(tid.idx(), &mut ctx.stream)
             };
             let seq = ctx.next_seq;
             ctx.next_seq += 1;
@@ -2635,6 +2663,13 @@ impl SmtMachine {
                     op.uop.is_well_formed(),
                     "{tid} seq {seq} is an ill-formed {:?} op",
                     op.uop.kind
+                );
+                // Resolve trains the PHT entry the prediction used.
+                ensure!(
+                    (op.pht_index as usize) < self.bpred.pht_len(),
+                    "{tid} seq {seq} names PHT entry {} of {}",
+                    op.pht_index,
+                    self.bpred.pht_len()
                 );
                 // Issue finds a load's D-miss.
                 let issued = matches!(op.stage, Stage::Executing { .. } | Stage::Done);
@@ -3567,6 +3602,12 @@ mod tests {
         ops.find(|op| pick(op)).expect("a target op")
     }
 
+    /// A correct-path conditional branch still to resolve: it will train
+    /// the PHT entry its prediction used.
+    fn trains_at_resolve(op: &InFlight) -> bool {
+        op.uop.is_cond_branch() && !op.wrong_path && !op.is_done()
+    }
+
     fn issued_non_load(op: &InFlight) -> bool {
         op.uop.kind != OpKind::Load && op.past_dispatch() && !op.is_queued()
     }
@@ -3595,6 +3636,7 @@ mod tests {
                 && live_front_end_entry(m).is_some()
                 && ops.clone().any(|op| op.is_queued())
                 && ops.clone().any(issued_non_load)
+                && ops.clone().any(trains_at_resolve)
                 && ops.any(|op| matches!(op.stage, Stage::Executing { .. }))
         };
         while !targets(&warm) {
@@ -3634,6 +3676,10 @@ mod tests {
                     let ctx = &mut m.threads[0];
                     ctx.rename[1] = Some(ctx.next_seq + 5);
                 }),
+            ),
+            (
+                "PHT index past the table".into(),
+                Box::new(|m| op_where(m, trains_at_resolve).pht_index = u32::MAX),
             ),
             (
                 "destination past the architectural file".into(),
@@ -3744,6 +3790,26 @@ mod tests {
         // Any seed fits: `replace_thread` and `migrate_in` derive one from
         // the stream position.
         assert!(decode_with(WrongPathGen::new(9, base, ws)).is_ok());
+    }
+
+    #[test]
+    fn a_predictor_must_fit_its_config() {
+        let mut warm = machine(2, 8);
+        warm.run(2_000, &mut RoundRobin);
+        let decode_with = |bpred: BranchPredictor| {
+            let mut m = warm.clone();
+            m.bpred = bpred;
+            SmtMachine::decode_from(&mut ByteReader::new(&payload(&m)))
+        };
+        let small = SimConfig {
+            gshare_bits: warm.cfg.gshare_bits - 1,
+            ..warm.cfg.clone()
+        };
+        match decode_with(BranchPredictor::new(&small)) {
+            Err(CodecError::Invalid(msg)) => assert!(msg.contains("PHT entries"), "{msg}"),
+            other => panic!("decoded {:?}", other.map(|_| "a machine")),
+        }
+        assert!(decode_with(BranchPredictor::new(&warm.cfg)).is_ok());
     }
 
     #[test]

@@ -123,9 +123,13 @@ impl MultiCoreMachine {
         }
     }
 
-    /// Run `cycles` cycles, one [`step`](Self::step) each.
+    /// Run `cycles` cycles, one [`step`](Self::step) each. The run counts
+    /// its calling thread in the step budget
+    /// ([`crate::batch::set_step_budget`]); its cores generate their µops
+    /// inline.
     pub fn run<C: FetchChooser>(&mut self, cycles: u64, choosers: &mut [C]) {
         assert_eq!(choosers.len(), self.cores.len(), "one chooser per core");
+        let _slots = crate::batch::RunSlots::take(false);
         for _ in 0..cycles {
             self.step(choosers);
         }

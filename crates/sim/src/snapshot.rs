@@ -353,6 +353,35 @@ mod tests {
     }
 
     #[test]
+    fn an_ill_formed_trace_op_is_an_error() {
+        let gzip = Arc::new(smt_workloads::app("gzip"));
+        let base = smt_workloads::thread_addr_base(0);
+        let mut synth = UopStream::new(Arc::clone(&gzip), 5, base);
+        let mut ops: Vec<_> = (0..4_000).map(|_| synth.next_uop()).collect();
+        let load = ops
+            .iter()
+            .position(|op| op.kind == smt_isa::OpKind::Load)
+            .expect("gzip loads");
+        ops[load].mem = None;
+        let stream = UopStream::Trace(smt_workloads::trace::TraceStream::replay(
+            gzip,
+            base,
+            Arc::new(ops),
+        ));
+        let m = SmtMachine::new(SimConfig::with_threads(1), vec![stream]);
+        let bytes = MachineSnapshot::capture(&m).to_bytes();
+        match MachineSnapshot::from_bytes(&bytes) {
+            Err(CodecError::Invalid(msg)) => {
+                assert!(msg.contains(&format!("op {load}")), "{msg}")
+            }
+            other => panic!(
+                "a load without an address decoded: {:?}",
+                other.map(|_| "a machine")
+            ),
+        }
+    }
+
+    #[test]
     fn trailing_garbage_is_an_error() {
         let mut m = machine(1, 37);
         m.run(200, &mut RoundRobin);

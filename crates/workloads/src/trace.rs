@@ -69,6 +69,7 @@ impl TraceStream {
             })?
             .clone();
         let ops = file.read_thread(tid)?;
+        check_ops(&ops)?;
         Ok(TraceStream::replay(
             Arc::new(meta.profile),
             meta.addr_base,
@@ -125,13 +126,19 @@ impl TraceStream {
     }
 
     /// Rebuild a stream from [`encode_state`](Self::encode_state) bytes.
+    /// Only a state a machine can run decodes: the profile must pass
+    /// [`AppProfile::validate`] and every op [`MicroOp::is_well_formed`].
     pub fn decode_state(r: &mut ByteReader) -> Result<Self, CodecError> {
         let profile: AppProfile = codec::decode_json(r)?;
+        profile
+            .validate()
+            .map_err(|e| CodecError::Invalid(format!("trace stream profile: {e}")))?;
         let addr_base = r.u64()?;
         let ops: Vec<MicroOp> = Vec::decode(r)?;
         if ops.is_empty() {
             return Err(CodecError::Invalid("trace stream has no ops".into()));
         }
+        check_ops(&ops)?;
         let consumed = r.u64()?;
         let pos = (consumed % ops.len() as u64) as usize;
         Ok(TraceStream {
@@ -141,6 +148,18 @@ impl TraceStream {
             pos,
             consumed,
         })
+    }
+}
+
+/// `Err` naming the first op that is not [`MicroOp::is_well_formed`]: the
+/// machine would panic on it.
+fn check_ops(ops: &[MicroOp]) -> Result<(), CodecError> {
+    match ops.iter().position(|op| !op.is_well_formed()) {
+        Some(i) => Err(CodecError::Invalid(format!(
+            "trace op {i} is ill-formed: {:?}",
+            ops[i]
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -212,6 +231,59 @@ mod tests {
         assert_eq!(b.generated(), a.generated());
         for _ in 0..400 {
             assert_eq!(a.next_uop(), b.next_uop());
+        }
+    }
+
+    /// Encode a stream's state with `ops` and `profile` spliced in.
+    fn state_with(profile: &AppProfile, ops: &[MicroOp]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        codec::encode_json(&mut w, profile);
+        w.u64(0x1_0000_0000);
+        ops.to_vec().encode(&mut w);
+        w.u64(3);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn ill_formed_ops_and_bad_profiles_are_errors() {
+        let (p, mut ops) = captured(64);
+        let decode = |p: &AppProfile, ops: &[MicroOp]| {
+            TraceStream::decode_state(&mut ByteReader::new(&state_with(p, ops)))
+        };
+        assert!(decode(&p, &ops).is_ok());
+        let load = ops
+            .iter()
+            .position(|op| op.kind == smt_isa::OpKind::Load)
+            .expect("the capture has a load");
+        ops[load].mem = None;
+        match decode(&p, &ops) {
+            Err(CodecError::Invalid(msg)) => {
+                assert!(msg.contains(&format!("op {load}")), "{msg}")
+            }
+            other => panic!("a load without an address decoded: {other:?}"),
+        }
+        let (_, ops) = captured(64);
+        let mut bad = (*p).clone();
+        bad.load_frac = 2.0;
+        match decode(&bad, &ops) {
+            Err(CodecError::Invalid(msg)) => assert!(msg.contains("load_frac"), "{msg}"),
+            other => panic!("a profile with load_frac 2 decoded: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn from_file_rejects_an_ill_formed_op() {
+        let (p, mut ops) = captured(100);
+        let bad = (40..)
+            .find(|&i| ops[i].dst.is_some())
+            .expect("an op with a destination");
+        ops[bad].dst = None;
+        let mut w = TraceWriter::new("unit", 7, 1024);
+        w.add_thread(&p, 0x1_0000_0000, &ops);
+        let file = TraceFile::parse(w.finish()).expect("parse");
+        match TraceStream::from_file(&file, 0) {
+            Err(CodecError::Invalid(msg)) => assert!(msg.contains(&format!("op {bad}")), "{msg}"),
+            other => panic!("an ill-formed recorded op loaded: {other:?}"),
         }
     }
 
